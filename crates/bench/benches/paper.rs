@@ -9,14 +9,26 @@ use swan_bench::{find, measure_point, REPRESENTATIVES};
 use swan_core::profile;
 use swan_core::report;
 use swan_core::{
-    capture, measure_multi, measure_multi_with, record, simulate_trace, Impl, Kernel, Scale,
-    SuiteRunner, TraceStore,
+    aggregate, capture, measure_recorded, plan, record, record_group, simulate_trace, Campaign,
+    Impl, Kernel, Measurement, Scale, TraceStore,
 };
 use swan_simd::trace::stream_into;
 use swan_simd::Width;
 use swan_uarch::{CoreConfig, EnergyModel, MultiCore};
 
 const SCALE: Scale = Scale(1.0 / 96.0);
+
+/// One Neon@128 scenario group of `k` on `cfgs`, as the campaign
+/// executor measures it: record once (through `store` when given),
+/// replay warm + timed into every core.
+fn measure_group(
+    k: &dyn Kernel,
+    cfgs: &[CoreConfig],
+    store: Option<&TraceStore>,
+) -> Vec<Measurement> {
+    let mut rec = record_group(k, Impl::Neon, Width::W128, SCALE, 42, store);
+    measure_recorded(&mut rec, cfgs, 1.0)
+}
 
 /// Figure 1: instruction-mix histograms (pure trace capture, both
 /// implementations, per representative kernel).
@@ -222,7 +234,7 @@ fn campaign_streaming_vs_batch(c: &mut Criterion) {
     });
     g.bench_function("streaming_fanout_3cores", |b| {
         b.iter(|| {
-            let total: u64 = measure_multi(k, Impl::Neon, Width::W128, &cfgs, SCALE, 42)
+            let total: u64 = measure_group(k, &cfgs, None)
                 .iter()
                 .map(|m| m.sim.cycles)
                 .sum();
@@ -233,7 +245,7 @@ fn campaign_streaming_vs_batch(c: &mut Criterion) {
 }
 
 /// Suite campaign, scaling shape: the representative subset measured
-/// by `SuiteRunner` serially and sharded across 4 worker threads (the
+/// by `Campaign::execute` serially and sharded across 4 worker threads (the
 /// multi-thread point must beat the serial wall-clock on any
 /// multi-core host — this is the number the perf trajectory tracks),
 /// plus the record-vs-reexecute pair: one scenario group measured by
@@ -252,7 +264,7 @@ fn campaign_threads(c: &mut Criterion) {
         ];
         let k = find(&kernels, "LJ", "rgb_to_ycbcr");
         g.bench_function("record_replay_3cores", |b| {
-            b.iter(|| black_box(measure_multi(k, Impl::Neon, Width::W128, &cfgs, SCALE, 42).len()))
+            b.iter(|| black_box(measure_group(k, &cfgs, None).len()))
         });
         // Trace-store triple: a miss that records the group's stream
         // into the store (record_to_store), a hit that replays it from
@@ -269,21 +281,13 @@ fn campaign_threads(c: &mut Criterion) {
             b.iter(|| {
                 // Every iteration must miss: empty the store first.
                 store.clear().expect("clear bench store");
-                black_box(
-                    measure_multi_with(k, Impl::Neon, Width::W128, &cfgs, SCALE, 42, Some(&store))
-                        .len(),
-                )
+                black_box(measure_group(k, &cfgs, Some(&store)).len())
             })
         });
         // Prime the store once; every iteration below is a pure hit.
-        let _ = measure_multi_with(k, Impl::Neon, Width::W128, &cfgs, SCALE, 42, Some(&store));
+        let _ = measure_group(k, &cfgs, Some(&store));
         g.bench_function("replay_from_store_3cores", |b| {
-            b.iter(|| {
-                black_box(
-                    measure_multi_with(k, Impl::Neon, Width::W128, &cfgs, SCALE, 42, Some(&store))
-                        .len(),
-                )
-            })
+            b.iter(|| black_box(measure_group(k, &cfgs, Some(&store)).len()))
         });
         let _ = std::fs::remove_dir_all(&dir);
         g.bench_function("reexecute_3cores", |b| {
@@ -291,7 +295,7 @@ fn campaign_threads(c: &mut Criterion) {
                 // The pre-codec flow: two functional executions (warm
                 // pass + timed pass) drive the fan-out sink directly,
                 // followed by the same per-config histogram + energy
-                // attachment measure_multi performs — so the only
+                // attachment measure_recorded performs — so the only
                 // difference between the two points is the recovered
                 // second emulator run.
                 let mut inst = k.instantiate(SCALE, 42);
@@ -326,12 +330,16 @@ fn campaign_threads(c: &mut Criterion) {
                 .any(|&(l, n)| m.library.info().symbol == l && m.name == n)
         })
         .collect();
+    let subset_plan = plan(&subset, SCALE, 42);
     for threads in [1usize, 4] {
         g.bench_function(format!("threads_{threads}"), |b| {
             b.iter(|| {
-                let suite = SuiteRunner::new(SCALE, 42)
-                    .threads(threads)
-                    .run(&subset, |_| {});
+                let campaign = Campaign {
+                    threads,
+                    ..Campaign::default()
+                };
+                let run = campaign.execute(&subset, &subset_plan, |_| {});
+                let suite = aggregate(&subset, &subset_plan, &run.measurements, SCALE);
                 black_box(suite.kernels.len())
             })
         });

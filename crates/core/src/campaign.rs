@@ -3,32 +3,32 @@
 //! [`plan`] expands a kernel inventory into the paper's full scenario
 //! matrix — 59 kernels × {Scalar, Auto, Neon} × vector widths ×
 //! {Prime, Gold, Silver, Figure 5(b) sweep} — as a flat, canonically
-//! ordered list of [`Scenario`] descriptors. The executor
-//! ([`execute_plan`] / [`SuiteRunner`]) shards *scenarios* across
-//! `std::thread` workers: scenarios sharing one instruction stream
-//! (same kernel, implementation, width — [`Scenario::stream_id`]) are
-//! measured from a *single* functional execution, recorded through
-//! the trace codec and replayed (warm pass + timed pass) into every
-//! member's core model, so the shard unit is a stream group, far
-//! finer than a whole kernel, and the emulator runs each stream only
-//! once. [`aggregate`] folds per-scenario [`Measurement`]s back into
+//! ordered list of [`Scenario`] descriptors. The one executor,
+//! [`Campaign::execute`], shards *scenarios* across `std::thread`
+//! workers: scenarios sharing one instruction stream (same kernel,
+//! implementation, width — [`Scenario::stream_id`]) are measured from
+//! a *single* functional execution, recorded through the trace codec
+//! and replayed (warm pass + timed pass) into every member's core
+//! model, so the shard unit is a stream group, far finer than a whole
+//! kernel, and the emulator runs each stream only once. [`aggregate`]
+//! folds per-scenario [`Measurement`]s back into
 //! [`KernelResults`]/[`SuiteResults`], so every `report::fig*/tab*`
 //! generator consumes the same shapes as before.
 //!
 //! Per-scenario results depend only on the scenario itself (the tracer
 //! is thread-local, addresses are virtualized), so serial, sharded,
-//! and plan-permuted executions are bit-identical — enforced by
-//! `tests/streaming_equivalence.rs`.
+//! store-backed, journaled and plan-permuted executions are
+//! bit-identical — enforced by `tests/streaming_equivalence.rs`.
 
 use crate::checkpoint::CampaignJournal;
 use crate::kernel::{Impl, Kernel, KernelMeta, Scale};
 use crate::report::{KernelResults, SuiteResults, FIG5_KERNELS};
-use crate::runner::{measure_multi_with, Measurement};
+use crate::runner::{measure_recorded, record_group, width_factor, GroupRecording, Measurement};
 use crate::scenario::Scenario;
 use crate::tracestore::TraceStore;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use swan_simd::Width;
 use swan_uarch::{CoreConfig, CoreId};
 
@@ -38,7 +38,7 @@ use swan_uarch::{CoreConfig, CoreId};
 /// assignment is dynamic but the output order is deterministic.
 /// `work` must not panic (wrap fallible work in `catch_unwind`); a
 /// panicking closure would poison the slot mutex and abort the scope.
-pub(crate) fn shard_indexed<T: Send>(
+fn shard_indexed<T: Send>(
     n: usize,
     workers: usize,
     work: impl Fn(usize) -> T + Send + Sync,
@@ -158,23 +158,6 @@ pub fn execution_groups(plan: &[Scenario]) -> Vec<Vec<usize>> {
     order
 }
 
-/// Measure one execution group: the group's kernel executes *once*,
-/// recorded through the trace codec (or not at all, when `store`
-/// holds a verified recording of the group's stream), and the
-/// recording's warm+timed replays drive one core model per member
-/// scenario. Returns one [`Measurement`] per group member, in group
-/// order.
-fn measure_group(
-    kernel: &dyn Kernel,
-    plan: &[Scenario],
-    group: &[usize],
-    store: Option<&TraceStore>,
-) -> Vec<Measurement> {
-    let sc = &plan[group[0]];
-    let cfgs: Vec<CoreConfig> = group.iter().map(|&i| plan[i].core.config()).collect();
-    measure_multi_with(kernel, sc.imp, sc.width, &cfgs, sc.scale, sc.seed, store)
-}
-
 fn group_progress(plan: &[Scenario], group: &[usize]) -> String {
     let sc = &plan[group[0]];
     format!(
@@ -202,169 +185,40 @@ pub(crate) fn scatter_groups<T>(
     out
 }
 
-/// Execute every scenario of a plan serially on the calling thread,
-/// returning one [`Measurement`] per scenario in plan order. The
-/// serial twin of [`execute_plan`] (bit-identical results); accepts a
-/// plain `FnMut` progress callback.
-///
-/// # Panics
-///
-/// Panics if any kernel's measurement panics (see
-/// [`try_execute_plan`] for the failure-isolating form).
-pub fn execute_plan_serial(
-    kernels: &[Box<dyn Kernel>],
-    plan: &[Scenario],
-    progress: impl FnMut(&str),
-) -> Vec<Measurement> {
-    execute_plan_serial_with(kernels, plan, None, progress)
+/// How a plan is executed: the only settable values of the one
+/// executor, [`Campaign::execute`]. `Campaign::default()` is a serial
+/// run with no trace store, no journal and no shard.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Campaign<'a> {
+    /// Worker threads scenario groups are sharded across (0 and 1
+    /// both run serially on the calling thread).
+    pub threads: usize,
+    /// Persistent trace store consulted before each group's functional
+    /// execution: a verified hit replays from disk with no execution, a
+    /// miss records into the store for every later run. Cold-store,
+    /// warm-store and store-disabled runs are bit-identical.
+    pub store: Option<&'a TraceStore>,
+    /// Checkpoint journal: groups it already holds are loaded instead
+    /// of simulated, and every executed group is persisted the moment
+    /// it completes, so a kill at any instant loses at most the groups
+    /// in flight. Write failures are logged, never fatal.
+    pub journal: Option<&'a CampaignJournal>,
+    /// `Some((i, of))` simulates only the groups whose *canonical*
+    /// group index `g` satisfies `g % of == i`; the rest are skipped.
+    /// Indexing by canonical group — not by position in the remaining
+    /// work — keeps worker shards disjoint and jointly complete even
+    /// when workers start at different times against a partially
+    /// filled journal.
+    pub shard: Option<(usize, usize)>,
 }
 
-/// [`execute_plan_serial`] consulting an optional persistent
-/// [`TraceStore`] before each group's functional execution.
-pub fn execute_plan_serial_with(
-    kernels: &[Box<dyn Kernel>],
-    plan: &[Scenario],
-    store: Option<&TraceStore>,
-    mut progress: impl FnMut(&str),
-) -> Vec<Measurement> {
-    let groups = execution_groups(plan);
-    let per_group: Vec<Vec<Measurement>> = groups
-        .iter()
-        .map(|group| {
-            progress(&group_progress(plan, group));
-            measure_group(kernels[plan[group[0]].kernel].as_ref(), plan, group, store)
-        })
-        .collect();
-    scatter_groups(plan.len(), &groups, per_group)
-        .into_iter()
-        .map(|m| m.expect("every scenario measured"))
-        .collect()
-}
-
-/// Execute every scenario of a plan, sharded across `threads` workers
-/// at execution-group granularity, returning one [`Measurement`] per
-/// scenario in plan order — bit-identical to [`execute_plan_serial`]
-/// and invariant under plan permutation.
-///
-/// # Panics
-///
-/// Panics — after every shard has drained — if any group's measurement
-/// panicked (see [`try_execute_plan`]).
-pub fn execute_plan(
-    kernels: &[Box<dyn Kernel>],
-    plan: &[Scenario],
-    threads: usize,
-    progress: impl Fn(&str) + Send + Sync,
-) -> Vec<Measurement> {
-    execute_plan_with(kernels, plan, threads, None, progress)
-}
-
-/// [`execute_plan`] consulting an optional persistent [`TraceStore`]:
-/// each group's worker replays a verified store entry when one exists
-/// (hit → no functional execution) and records into the store
-/// otherwise (miss → record-and-insert). Cold-store, warm-store, and
-/// store-disabled runs are bit-identical.
-pub fn execute_plan_with(
-    kernels: &[Box<dyn Kernel>],
-    plan: &[Scenario],
-    threads: usize,
-    store: Option<&TraceStore>,
-    progress: impl Fn(&str) + Send + Sync,
-) -> Vec<Measurement> {
-    let (measurements, failures) = try_execute_plan_with(kernels, plan, threads, store, progress);
-    assert_no_failures(&failures);
-    measurements
-        .into_iter()
-        .map(|m| m.expect("no failures, so every scenario measured"))
-        .collect()
-}
-
-/// Execute a plan, isolating per-group panics: every scenario whose
-/// group completes is measured normally (`Some` in plan order, no
-/// matter what happens in sibling shards), and each panicking group
-/// becomes one [`KernelFailure`] (id = kernel, message names the
-/// stream) with `None` in its members' slots.
-pub fn try_execute_plan(
-    kernels: &[Box<dyn Kernel>],
-    plan: &[Scenario],
-    threads: usize,
-    progress: impl Fn(&str) + Send + Sync,
-) -> (Vec<Option<Measurement>>, Vec<KernelFailure>) {
-    try_execute_plan_with(kernels, plan, threads, None, progress)
-}
-
-/// [`try_execute_plan`] consulting an optional persistent
-/// [`TraceStore`] (see [`execute_plan_with`]).
-pub fn try_execute_plan_with(
-    kernels: &[Box<dyn Kernel>],
-    plan: &[Scenario],
-    threads: usize,
-    store: Option<&TraceStore>,
-    progress: impl Fn(&str) + Send + Sync,
-) -> (Vec<Option<Measurement>>, Vec<KernelFailure>) {
-    let groups = execution_groups(plan);
-    // The worker closure cannot panic, as `shard_indexed` requires:
-    // measurement panics are converted to failures here.
-    let results: Vec<Result<Vec<Measurement>, KernelFailure>> =
-        shard_indexed(groups.len(), threads, |gi| {
-            let group = &groups[gi];
-            progress(&group_progress(plan, group));
-            measure_group_caught(kernels, plan, group, store)
-        });
-    let mut failures = Vec::new();
-    let per_group: Vec<Vec<Measurement>> = results
-        .into_iter()
-        .map(|r| {
-            r.unwrap_or_else(|f| {
-                failures.push(f);
-                Vec::new()
-            })
-        })
-        .collect();
-    (scatter_groups(plan.len(), &groups, per_group), failures)
-}
-
-/// Measure one group with panic isolation: any measurement panic
-/// becomes a [`KernelFailure`] naming the group's stream. The shared
-/// worker body of the plain and checkpointed executors (shard workers
-/// must not panic).
-fn measure_group_caught(
-    kernels: &[Box<dyn Kernel>],
-    plan: &[Scenario],
-    group: &[usize],
-    store: Option<&TraceStore>,
-) -> Result<Vec<Measurement>, KernelFailure> {
-    let sc = &plan[group[0]];
-    let kernel = kernels[sc.kernel].as_ref();
-    catch_unwind(AssertUnwindSafe(|| {
-        measure_group(kernel, plan, group, store)
-    }))
-    .map_err(|p| {
-        let message = if let Some(s) = p.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = p.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        };
-        KernelFailure {
-            id: sc.kernel_id.clone(),
-            message: format!("{}: {message}", sc.stream_id()),
-        }
-    })
-}
-
-// =====================================================================
-// Checkpointed execution
-// =====================================================================
-
-/// Outcome of a checkpointed plan execution: plan-order measurements
-/// (`None` for failed groups and for groups outside this worker's
-/// shard) plus the resume/shard accounting.
+/// Outcome of [`Campaign::execute`]: plan-order measurements plus the
+/// resume/shard accounting.
 #[derive(Debug)]
-pub struct CheckpointedRun {
+pub struct CampaignRun {
     /// One slot per plan scenario; `Some` for every scenario whose
-    /// group was resumed from the journal or executed by this run.
+    /// group was resumed from the journal or executed by this run,
+    /// `None` for failed groups and groups left to other shards.
     pub measurements: Vec<Option<Measurement>>,
     /// One failure per group whose measurement panicked.
     pub failures: Vec<KernelFailure>,
@@ -372,109 +226,151 @@ pub struct CheckpointedRun {
     pub total_groups: usize,
     /// Groups loaded from the journal (zero functional re-executions).
     pub resumed_groups: usize,
-    /// Groups simulated (and journaled) by this run.
+    /// Groups simulated by this run.
     pub executed_groups: usize,
     /// Groups left to other workers' shards.
     pub skipped_groups: usize,
 }
 
-/// Execute a plan against a checkpoint [`CampaignJournal`]: groups
-/// with a verified journal entry are *loaded*, never re-simulated;
-/// the rest are measured (sharded across `threads` workers, consulting
-/// the optional trace `store` exactly like [`try_execute_plan_with`])
-/// and each group's measurements are persisted the moment the group
-/// completes — so a kill at any instant loses at most the groups in
-/// flight, and the next run picks up where this one died.
-///
-/// `shard` restricts execution to one worker's disjoint subset: with
-/// `Some((i, of))` only remaining groups whose *canonical* group index
-/// `g` satisfies `g % of == i` are simulated (the rest are reported as
-/// skipped). Sharding by canonical index — not by position in the
-/// remaining list — keeps worker subsets disjoint and jointly complete
-/// even when workers start at different times against a partially
-/// filled journal. Journal write failures are logged, never fatal: the
-/// measurement still counts, only its durability is lost.
-pub fn try_execute_plan_checkpointed(
-    kernels: &[Box<dyn Kernel>],
-    plan: &[Scenario],
-    threads: usize,
-    store: Option<&TraceStore>,
-    journal: &CampaignJournal,
-    shard: Option<(usize, usize)>,
-    progress: impl Fn(&str) + Send + Sync,
-) -> CheckpointedRun {
-    if let Some((i, of)) = shard {
-        assert!(of > 0 && i < of, "worker shard must be i/of with i < of");
-    }
-    let groups = execution_groups(plan);
-    let mut per_group: Vec<Vec<Measurement>> = vec![Vec::new(); groups.len()];
-    let mut work: Vec<usize> = Vec::new();
-    let mut resumed_groups = 0usize;
-    let mut skipped_groups = 0usize;
-    for (gi, group) in groups.iter().enumerate() {
-        if let Some(ms) = journal.load_group(plan, group) {
-            per_group[gi] = ms;
-            resumed_groups += 1;
-        } else if shard.is_none_or(|(i, of)| gi % of == i) {
-            work.push(gi);
-        } else {
-            skipped_groups += 1;
-        }
-    }
-    let results: Vec<Result<Vec<Measurement>, KernelFailure>> =
-        shard_indexed(work.len(), threads, |wi| {
-            let gi = work[wi];
-            let group = &groups[gi];
-            progress(&group_progress(plan, group));
-            let r = measure_group_caught(kernels, plan, group, store);
-            if let Ok(ms) = &r {
-                if let Err(e) = journal.record_group(plan, group, ms) {
-                    eprintln!(
-                        "checkpoint: cannot journal {} ({e}); the group's \
-                         result is kept but will re-simulate after a restart",
-                        plan[group[0]].stream_id()
-                    );
-                }
-            }
-            r
-        });
-    let mut failures = Vec::new();
-    for (&gi, r) in work.iter().zip(results) {
-        match r {
-            Ok(ms) => per_group[gi] = ms,
-            Err(f) => failures.push(f),
-        }
-    }
-    let executed_groups = work.len() - failures.len();
-    CheckpointedRun {
-        measurements: scatter_groups(plan.len(), &groups, per_group),
-        failures,
-        total_groups: groups.len(),
-        resumed_groups,
-        executed_groups,
-        skipped_groups,
+impl CampaignRun {
+    /// The plan-order measurements of a run that measured every
+    /// scenario.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming every failed group if any group failed, or if a
+    /// shard left scenarios unmeasured.
+    pub fn complete(self) -> Vec<Measurement> {
+        assert!(
+            self.failures.is_empty(),
+            "campaign groups panicked: {:?}",
+            self.failures
+                .iter()
+                .map(|f| format!("{}: {}", f.id, f.message))
+                .collect::<Vec<_>>()
+        );
+        self.measurements
+            .into_iter()
+            .map(|m| m.expect("no failures and no shard, so every scenario measured"))
+            .collect()
     }
 }
 
-/// [`try_execute_plan_checkpointed`] panicking on any group failure
-/// and unwrapping the plan-order measurements — the coordinator form
-/// (no shard: every remaining group is simulated by this run).
-pub fn execute_plan_checkpointed(
+impl Campaign<'_> {
+    /// Execute every scenario of `plan`, returning one slot per
+    /// scenario in plan order. Each group not resumed from the journal
+    /// or left to another shard is recorded once ([`record_group`]) and
+    /// replayed warm + timed into one core model per member scenario
+    /// ([`measure_recorded`]). A panicking group becomes one
+    /// [`KernelFailure`] and never poisons its siblings. Results are
+    /// bit-identical for every thread count, store state, journal state
+    /// and plan order. `progress` receives one status line per
+    /// executed group, from whichever worker picks it up.
+    pub fn execute(
+        &self,
+        kernels: &[Box<dyn Kernel>],
+        plan: &[Scenario],
+        progress: impl Fn(&str) + Sync,
+    ) -> CampaignRun {
+        if let Some((i, of)) = self.shard {
+            assert!(of > 0 && i < of, "worker shard must be i/of with i < of");
+        }
+        let groups = execution_groups(plan);
+        let mut per_group: Vec<Vec<Measurement>> = vec![Vec::new(); groups.len()];
+        let mut work: Vec<usize> = Vec::new();
+        let mut resumed_groups = 0usize;
+        let mut skipped_groups = 0usize;
+        for (gi, group) in groups.iter().enumerate() {
+            if let Some(ms) = self.journal.and_then(|j| j.load_group(plan, group)) {
+                per_group[gi] = ms;
+                resumed_groups += 1;
+            } else if self.shard.is_none_or(|(i, of)| gi % of == i) {
+                work.push(gi);
+            } else {
+                skipped_groups += 1;
+            }
+        }
+        let work_groups: Vec<&[usize]> = work.iter().map(|&gi| groups[gi].as_slice()).collect();
+        let results = drive_groups(
+            kernels,
+            plan,
+            &work_groups,
+            self.threads,
+            self.store,
+            &progress,
+            |rec, group| {
+                let sc = &plan[group[0]];
+                let cfgs: Vec<CoreConfig> = group.iter().map(|&i| plan[i].core.config()).collect();
+                let ms = measure_recorded(rec, &cfgs, width_factor(sc.imp, sc.width));
+                if let Some(journal) = self.journal {
+                    if let Err(e) = journal.record_group(plan, group, &ms) {
+                        eprintln!(
+                            "checkpoint: cannot journal {} ({e}); the group's \
+                             result is kept but will re-simulate after a restart",
+                            sc.stream_id()
+                        );
+                    }
+                }
+                ms
+            },
+        );
+        let mut failures = Vec::new();
+        for (&gi, r) in work.iter().zip(results) {
+            match r {
+                Ok(ms) => per_group[gi] = ms,
+                Err(f) => failures.push(f),
+            }
+        }
+        CampaignRun {
+            measurements: scatter_groups(plan.len(), &groups, per_group),
+            total_groups: groups.len(),
+            resumed_groups,
+            executed_groups: work.len() - failures.len(),
+            skipped_groups,
+            failures,
+        }
+    }
+}
+
+/// The group driver shared by [`Campaign::execute`] and
+/// [`crate::golden::collect`]: for each group of `work`, sharded across
+/// `threads` workers, report progress, obtain the group's recording
+/// through [`record_group`] (consulting `store`) and hand it to `body`.
+/// A panic anywhere in a group becomes a [`KernelFailure`] naming the
+/// group's stream (shard workers must not panic). Results come back in
+/// `work` order.
+pub(crate) fn drive_groups<T: Send>(
     kernels: &[Box<dyn Kernel>],
     plan: &[Scenario],
+    work: &[&[usize]],
     threads: usize,
     store: Option<&TraceStore>,
-    journal: &CampaignJournal,
-    progress: impl Fn(&str) + Send + Sync,
-) -> (Vec<Measurement>, CheckpointedRun) {
-    let mut run =
-        try_execute_plan_checkpointed(kernels, plan, threads, store, journal, None, progress);
-    assert_no_failures(&run.failures);
-    let measurements = std::mem::take(&mut run.measurements)
-        .into_iter()
-        .map(|m| m.expect("no shard and no failures, so every scenario measured"))
-        .collect();
-    (measurements, run)
+    progress: &(dyn Fn(&str) + Sync),
+    body: impl Fn(&mut GroupRecording, &[usize]) -> Vec<T> + Sync,
+) -> Vec<Result<Vec<T>, KernelFailure>> {
+    shard_indexed(work.len(), threads, |wi| {
+        let group = work[wi];
+        let sc = &plan[group[0]];
+        progress(&group_progress(plan, group));
+        catch_unwind(AssertUnwindSafe(|| {
+            let kernel = kernels[sc.kernel].as_ref();
+            let mut rec = record_group(kernel, sc.imp, sc.width, sc.scale, sc.seed, store);
+            body(&mut rec, group)
+        }))
+        .map_err(|p| {
+            let message = if let Some(s) = p.downcast_ref::<&str>() {
+                (*s).to_string()
+            } else if let Some(s) = p.downcast_ref::<String>() {
+                s.clone()
+            } else {
+                "non-string panic payload".to_string()
+            };
+            KernelFailure {
+                id: sc.kernel_id.clone(),
+                message: format!("{}: {message}", sc.stream_id()),
+            }
+        })
+    })
 }
 
 // =====================================================================
@@ -560,19 +456,6 @@ pub fn aggregate(
     }
 }
 
-/// Panic with a summary naming every failed kernel, unless there are
-/// none (the shared failure path of the panicking executor forms).
-fn assert_no_failures(failures: &[KernelFailure]) {
-    assert!(
-        failures.is_empty(),
-        "campaign kernels panicked: {:?}",
-        failures
-            .iter()
-            .map(|f| format!("{}: {}", f.id, f.message))
-            .collect::<Vec<_>>()
-    );
-}
-
 /// A kernel whose measurement panicked during a campaign.
 #[derive(Clone, Debug)]
 pub struct KernelFailure {
@@ -581,161 +464,4 @@ pub struct KernelFailure {
     /// The panic payload, stringified (prefixed with the panicking
     /// scenario stream's id).
     pub message: String,
-}
-
-/// Produce the complete [`KernelResults`] for one kernel through the
-/// same plan → execute → aggregate pipeline the campaign uses.
-pub fn measure_kernel(kernel: &dyn Kernel, scale: Scale, seed: u64) -> KernelResults {
-    let meta = kernel.meta();
-    let plan = plan_kernel(0, &meta, scale, seed);
-    let groups = execution_groups(&plan);
-    let per_group: Vec<Vec<Measurement>> = groups
-        .iter()
-        .map(|group| measure_group(kernel, &plan, group, None))
-        .collect();
-    let measurements = scatter_groups(plan.len(), &groups, per_group);
-    aggregate_kernel(
-        meta,
-        &plan,
-        &measurements,
-        &(0..plan.len()).collect::<Vec<_>>(),
-    )
-    .expect("a full single-kernel plan aggregates completely")
-}
-
-/// A campaign over a kernel inventory, optionally sharded across
-/// threads at scenario(-group) granularity and optionally backed by a
-/// persistent trace store.
-#[derive(Clone, Debug)]
-pub struct SuiteRunner {
-    scale: Scale,
-    seed: u64,
-    threads: usize,
-    store: Option<Arc<TraceStore>>,
-    journal: Option<Arc<CampaignJournal>>,
-}
-
-impl SuiteRunner {
-    /// A serial campaign at the given input scale and seed.
-    pub fn new(scale: Scale, seed: u64) -> SuiteRunner {
-        SuiteRunner {
-            scale,
-            seed,
-            threads: 1,
-            store: None,
-            journal: None,
-        }
-    }
-
-    /// Shard scenario groups across `n` worker threads (1 = serial).
-    pub fn threads(mut self, n: usize) -> SuiteRunner {
-        self.threads = n.max(1);
-        self
-    }
-
-    /// Consult (and fill) a persistent [`TraceStore`] instead of
-    /// functionally executing scenario groups whose recordings it
-    /// already holds.
-    pub fn store(mut self, store: Arc<TraceStore>) -> SuiteRunner {
-        self.store = Some(store);
-        self
-    }
-
-    /// Journal each scenario group's measurements into a checkpoint
-    /// [`CampaignJournal`] as the group completes, and resume any
-    /// groups it already holds instead of re-simulating them. Honored
-    /// by [`SuiteRunner::run`]/[`SuiteRunner::try_run`]
-    /// ([`SuiteRunner::run_serial`] ignores it; use `threads(1)` for a
-    /// journaled serial campaign).
-    pub fn journal(mut self, journal: Arc<CampaignJournal>) -> SuiteRunner {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Run the campaign serially on the calling thread (the form
-    /// `report::run_suite` delegates to; accepts a plain `FnMut`
-    /// progress callback).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any kernel's measurement panics (see
-    /// [`SuiteRunner::try_run`] for the failure-isolating form).
-    pub fn run_serial(
-        &self,
-        kernels: &[Box<dyn Kernel>],
-        progress: impl FnMut(&str),
-    ) -> SuiteResults {
-        let plan = plan(kernels, self.scale, self.seed);
-        let measurements: Vec<Option<Measurement>> =
-            execute_plan_serial_with(kernels, &plan, self.store.as_deref(), progress)
-                .into_iter()
-                .map(Some)
-                .collect();
-        aggregate(kernels, &plan, &measurements, self.scale)
-    }
-
-    /// Run the campaign. `progress` receives one status line per
-    /// scenario group (from whichever worker picks it up).
-    ///
-    /// # Panics
-    ///
-    /// Panics — after every shard has drained — if any kernel's
-    /// measurement panicked, naming all failed kernels. A panicking
-    /// kernel never poisons sibling shards: their results are fully
-    /// measured first (use [`SuiteRunner::try_run`] to get them).
-    pub fn run(
-        &self,
-        kernels: &[Box<dyn Kernel>],
-        progress: impl Fn(&str) + Send + Sync,
-    ) -> SuiteResults {
-        let (suite, failures) = self.try_run(kernels, progress);
-        assert_no_failures(&failures);
-        suite
-    }
-
-    /// Run the campaign, isolating per-kernel panics: every
-    /// non-panicking kernel is measured normally (in suite order) no
-    /// matter what happens in sibling shards, and each panicking
-    /// kernel is reported as one [`KernelFailure`] (its first failing
-    /// scenario group's panic) instead of tearing down the run.
-    pub fn try_run(
-        &self,
-        kernels: &[Box<dyn Kernel>],
-        progress: impl Fn(&str) + Send + Sync,
-    ) -> (SuiteResults, Vec<KernelFailure>) {
-        let plan = plan(kernels, self.scale, self.seed);
-        let (measurements, group_failures) = match &self.journal {
-            Some(journal) => {
-                let run = try_execute_plan_checkpointed(
-                    kernels,
-                    &plan,
-                    self.threads,
-                    self.store.as_deref(),
-                    journal,
-                    None,
-                    progress,
-                );
-                (run.measurements, run.failures)
-            }
-            None => try_execute_plan_with(
-                kernels,
-                &plan,
-                self.threads,
-                self.store.as_deref(),
-                progress,
-            ),
-        };
-        // One failure per kernel (a kernel that panics usually panics
-        // in every one of its groups), keeping the first message.
-        let mut failures: Vec<KernelFailure> = Vec::new();
-        for f in group_failures {
-            if !failures.iter().any(|g| g.id == f.id) {
-                failures.push(f);
-            }
-        }
-        (
-            aggregate(kernels, &plan, &measurements, self.scale),
-            failures,
-        )
-    }
 }

@@ -5,7 +5,7 @@
 //! width, core, scale, seed) — yields the same dynamic-instruction
 //! stream, including every memory address, on every run and every
 //! machine. This module turns that into a regression gate over the
-//! *full scenario matrix*: [`collect`] measures every scenario of
+//! *full scenario matrix*: [`collect`] measures every scenario of a
 //! [`crate::campaign::plan`] into compact [`GoldenEntry`] records
 //! keyed by scenario id (an order-sensitive trace digest plus that
 //! core's cycle/cache stats), [`to_json`] serializes them canonically,
@@ -17,9 +17,9 @@
 //! and check it with `swan-report --golden <path>` (CI does the
 //! latter on every push).
 
-use crate::campaign::{execution_groups, scatter_groups, shard_indexed};
+use crate::campaign::{drive_groups, execution_groups, scatter_groups, KernelFailure};
 use crate::kernel::{Kernel, Scale};
-use crate::runner::record_group;
+use crate::runner::GroupRecording;
 use crate::scenario::Scenario;
 use crate::tracestore::TraceStore;
 use std::fmt::Write as _;
@@ -47,24 +47,15 @@ pub struct GoldenEntry {
     pub sim: SimResult,
 }
 
-/// Measure one execution group of golden points with the executor's
-/// record-once / replay-many discipline: the group's recording comes
-/// from [`record_group`] (one functional execution on a store miss,
-/// none at all on a verified store hit); it then warms every member
-/// scenario's core, and each decoded batch of the timed replay is
-/// stepped through the fan-out models and folded into the trace
-/// digest at once. Batch decode expands overhead runs exactly like
-/// [`HashSink`]'s default sink expansion, so digests and statistics
-/// are unchanged from a warm+timed execution pair — and identical
-/// with a cold store, a warm store, and no store.
-fn collect_group(
-    kernel: &dyn Kernel,
-    plan: &[Scenario],
-    group: &[usize],
-    store: Option<&TraceStore>,
-) -> Vec<GoldenEntry> {
-    let sc = &plan[group[0]];
-    let mut rec = record_group(kernel, sc.imp, sc.width, sc.scale, sc.seed, store);
+/// Fold one execution group's recording into golden points with the
+/// executor's record-once / replay-many discipline: the recording
+/// warms every member scenario's core, and each decoded batch of the
+/// timed replay is stepped through the fan-out models and folded into
+/// the trace digest at once. Batch decode expands overhead runs
+/// exactly like [`HashSink`]'s default sink expansion, so digests and
+/// statistics are unchanged from a warm+timed execution pair — and
+/// identical with a cold store, a warm store, and no store.
+fn hash_group(rec: &mut GroupRecording, plan: &[Scenario], group: &[usize]) -> Vec<GoldenEntry> {
     let cfgs: Vec<_> = group.iter().map(|&i| plan[i].core.config()).collect();
     let mut cores = MultiCore::new(&cfgs);
     cores.begin_warm();
@@ -92,64 +83,49 @@ fn collect_group(
 }
 
 /// Collect golden entries for every scenario of a plan, in plan order,
-/// optionally sharded across `threads` workers at execution-group
-/// granularity (per-scenario results are independent, so sharding
-/// cannot change them). `progress` receives one status line per group.
-pub fn collect_plan(
-    kernels: &[Box<dyn Kernel>],
-    plan: &[Scenario],
-    threads: usize,
-    progress: impl Fn(&str) + Send + Sync,
-) -> Vec<GoldenEntry> {
-    collect_plan_with(kernels, plan, threads, None, progress)
-}
-
-/// [`collect_plan`] consulting an optional persistent [`TraceStore`]
-/// before each group's functional execution; collections with a cold
-/// store, a warm store, and no store are byte-identical.
-pub fn collect_plan_with(
-    kernels: &[Box<dyn Kernel>],
-    plan: &[Scenario],
-    threads: usize,
-    store: Option<&TraceStore>,
-    progress: impl Fn(&str) + Send + Sync,
-) -> Vec<GoldenEntry> {
-    let groups = execution_groups(plan);
-    let per_group = shard_indexed(groups.len(), threads, |gi| {
-        let group = &groups[gi];
-        let sc = &plan[group[0]];
-        progress(&format!("golden {}", sc.stream_id()));
-        collect_group(kernels[sc.kernel].as_ref(), plan, group, store)
-    });
-    scatter_groups(plan.len(), &groups, per_group)
-        .into_iter()
-        .map(|e| e.expect("every scenario collected"))
-        .collect()
-}
-
-/// Collect the full golden campaign: every scenario of the paper's
-/// matrix ([`crate::campaign::plan`]), in canonical plan order.
+/// sharded across `threads` workers at execution-group granularity and
+/// consulting the optional trace `store` exactly like
+/// [`crate::campaign::Campaign::execute`] (the two share one group
+/// driver; per-scenario results are independent, so neither sharding
+/// nor the store can change them). There is no journal: the journal
+/// does not persist the trace digests a baseline pins. `progress`
+/// receives one status line per group. Every group runs even when
+/// another panics; the failures are returned instead of the entries.
 pub fn collect(
     kernels: &[Box<dyn Kernel>],
-    scale: Scale,
-    seed: u64,
-    threads: usize,
-    progress: impl Fn(&str) + Send + Sync,
-) -> Vec<GoldenEntry> {
-    collect_with(kernels, scale, seed, threads, None, progress)
-}
-
-/// [`collect`] consulting an optional persistent [`TraceStore`].
-pub fn collect_with(
-    kernels: &[Box<dyn Kernel>],
-    scale: Scale,
-    seed: u64,
+    plan: &[Scenario],
     threads: usize,
     store: Option<&TraceStore>,
-    progress: impl Fn(&str) + Send + Sync,
-) -> Vec<GoldenEntry> {
-    let plan = crate::campaign::plan(kernels, scale, seed);
-    collect_plan_with(kernels, &plan, threads, store, progress)
+    progress: impl Fn(&str) + Sync,
+) -> Result<Vec<GoldenEntry>, Vec<KernelFailure>> {
+    let groups = execution_groups(plan);
+    let work: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
+    let results = drive_groups(
+        kernels,
+        plan,
+        &work,
+        threads,
+        store,
+        &progress,
+        |rec, group| hash_group(rec, plan, group),
+    );
+    let mut failures = Vec::new();
+    let per_group: Vec<Vec<GoldenEntry>> = results
+        .into_iter()
+        .map(|r| {
+            r.unwrap_or_else(|f| {
+                failures.push(f);
+                Vec::new()
+            })
+        })
+        .collect();
+    if !failures.is_empty() {
+        return Err(failures);
+    }
+    Ok(scatter_groups(plan.len(), &groups, per_group)
+        .into_iter()
+        .map(|e| e.expect("every scenario collected"))
+        .collect())
 }
 
 /// Serialize a golden collection to its canonical JSON form: fixed key

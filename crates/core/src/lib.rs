@@ -4,8 +4,10 @@
 //! the streaming measurement [`runner`] that executes a kernel under a
 //! fan-out trace sink driving the `swan-uarch` timing models, the
 //! [`campaign`] module that expands the paper's measurement matrix
-//! into a flat [`Scenario`] plan and executes it (sharded across
-//! threads at scenario-group granularity), and the [`report`]
+//! into a flat [`Scenario`] plan and executes it through one
+//! [`Campaign::execute`] (sharded across threads at scenario-group
+//! granularity, optionally store-backed, journaled or sharded across
+//! processes), and the [`report`]
 //! generators that regenerate every table and figure of the paper
 //! from a kernel inventory.
 //!
@@ -31,12 +33,7 @@ pub mod scenario;
 pub mod stats;
 pub mod tracestore;
 
-pub use campaign::{
-    aggregate, execute_plan, execute_plan_checkpointed, execute_plan_serial,
-    execute_plan_serial_with, execute_plan_with, execution_groups, measure_kernel, plan,
-    try_execute_plan, try_execute_plan_checkpointed, try_execute_plan_with, CheckpointedRun,
-    KernelFailure, SuiteRunner,
-};
+pub use campaign::{aggregate, execution_groups, plan, Campaign, CampaignRun, KernelFailure};
 pub use checkpoint::{
     group_key_string, CampaignJournal, JournalStats, Resume, CHECKPOINT_FORMAT_VERSION,
 };
@@ -47,8 +44,8 @@ pub use kernel::{
 pub use perf::{find, gate, parse_bench_json, probe, BenchRow, GateOutcome, PerfReport};
 pub use profile::{Phase, PhaseSample, ProfileReport, ProfileScope};
 pub use runner::{
-    capture, measure, measure_multi, measure_multi_with, measure_recorded, record, record_group,
-    simulate_trace, verify_kernel, GroupRecording, Measurement,
+    capture, measure, measure_recorded, record, record_group, simulate_trace, verify_kernel,
+    GroupRecording, Measurement,
 };
 pub use scenario::{filter_plan, Scenario, ScenarioFilter};
 pub use tracestore::{inventory_digest, StoreStats, TraceStore};

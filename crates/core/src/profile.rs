@@ -651,15 +651,18 @@ mod tests {
         {
             let _outer = ProfileScope::enter(Phase::Record);
             std::thread::sleep(std::time::Duration::from_millis(2));
+            // Not `Spill` or `Decode`: their snapshots merge the
+            // codec's process-wide counters, which sibling tests that
+            // spill through a trace store bump while profiling is on.
             {
-                let _inner = ProfileScope::enter(Phase::Spill);
+                let _inner = ProfileScope::enter(Phase::Timed);
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         }
         set_enabled(false);
         let rep = snapshot(0);
         let outer = rep.phase(Phase::Record).unwrap();
-        let inner = rep.phase(Phase::Spill).unwrap();
+        let inner = rep.phase(Phase::Timed).unwrap();
         assert!(inner.self_ns > 0);
         // Outer total covers the inner span; outer self excludes it.
         assert!(outer.total_ns >= outer.self_ns + inner.self_ns);

@@ -1,9 +1,10 @@
 //! Report generators: one function per table and figure of the paper.
 //!
-//! [`run_suite`] performs the complete measurement campaign once
-//! (per-kernel traces simulated on every core configuration the
-//! analyses need) and the `fig*`/`tab*` functions format the same rows
-//! and series the paper reports. All generators also emit CSV via
+//! [`crate::campaign::Campaign::execute`] performs the measurement
+//! campaign once (every scenario stream simulated on every core
+//! configuration the analyses need), [`crate::campaign::aggregate`]
+//! folds it into [`SuiteResults`], and the `fig*`/`tab*` functions
+//! format the same rows and series the paper reports. All generators also emit CSV via
 //! their `Display` counterparts' `csv()` methods where applicable.
 
 use crate::kernel::{
@@ -65,22 +66,6 @@ pub struct SuiteResults {
     pub kernels: Vec<KernelResults>,
     /// Input scale used.
     pub scale: Scale,
-}
-
-/// Run the complete measurement campaign (the expensive step: every
-/// kernel is traced for Scalar/Auto/Neon, each traced execution
-/// streaming into every core configuration that shares its
-/// instruction stream).
-///
-/// Serial form of [`crate::campaign::SuiteRunner`]; `progress` is
-/// invoked with a status line per kernel.
-pub fn run_suite(
-    kernels: &[Box<dyn Kernel>],
-    scale: Scale,
-    seed: u64,
-    progress: impl FnMut(&str),
-) -> SuiteResults {
-    crate::campaign::SuiteRunner::new(scale, seed).run_serial(kernels, progress)
 }
 
 impl SuiteResults {

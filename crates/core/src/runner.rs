@@ -75,7 +75,8 @@ fn attach_energy(
 /// kernel's useful-operation count.
 ///
 /// This materializes the whole trace — O(dynamic instruction count)
-/// memory. Prefer [`measure`]/[`measure_multi`], which stream.
+/// memory. Prefer [`measure`] or [`record_group`], which encode the
+/// stream compactly.
 pub fn capture(
     kernel: &dyn Kernel,
     imp: Impl,
@@ -284,7 +285,7 @@ pub fn record_group(
 }
 
 /// Vector-op energy scale factor for an implementation at a width.
-fn width_factor(imp: Impl, w: Width) -> f64 {
+pub(crate) fn width_factor(imp: Impl, w: Width) -> f64 {
     if imp == Impl::Neon {
         w.factor() as f64
     } else {
@@ -333,50 +334,11 @@ pub fn measure_recorded(
         .collect()
 }
 
-/// Measure one kernel configuration on several core configurations at
-/// once, without materializing the trace.
-///
-/// The kernel executes exactly *once*, recorded through the trace
-/// codec ([`record`]); the recording then drives a fan-out of one
-/// incremental core model per configuration twice — a first replay
-/// warms every model's caches (the paper warms caches before each
-/// measured iteration, §4.3) and a second replay is timed. Replay is
-/// bit-identical to the live stream, so this equals the batch
-/// capture-and-replay of one trace while keeping the resident trace
-/// state at the compact encoded size instead of a `Vec<TraceInstr>`.
-///
-/// Returns one [`Measurement`] per entry of `cfgs`, in order.
-pub fn measure_multi(
-    kernel: &dyn Kernel,
-    imp: Impl,
-    w: Width,
-    cfgs: &[CoreConfig],
-    scale: Scale,
-    seed: u64,
-) -> Vec<Measurement> {
-    measure_multi_with(kernel, imp, w, cfgs, scale, seed, None)
-}
-
-/// [`measure_multi`] consulting an optional persistent [`TraceStore`]:
-/// a store hit replays the group's recording from disk and skips the
-/// functional execution entirely; a miss records into the store for
-/// every later run. Results are bit-identical with a cold store, a
-/// warm store, and no store at all.
-pub fn measure_multi_with(
-    kernel: &dyn Kernel,
-    imp: Impl,
-    w: Width,
-    cfgs: &[CoreConfig],
-    scale: Scale,
-    seed: u64,
-    store: Option<&TraceStore>,
-) -> Vec<Measurement> {
-    let mut rec = record_group(kernel, imp, w, scale, seed, store);
-    measure_recorded(&mut rec, cfgs, width_factor(imp, w))
-}
-
-/// Measure one configuration of a kernel (streaming; single-core
-/// convenience form of [`measure_multi`]).
+/// Measure one configuration of a kernel: record it once
+/// ([`record_group`], no store) and replay the recording warm + timed
+/// into one core model ([`measure_recorded`]). The single-point
+/// convenience form; whole plans go through
+/// [`crate::campaign::Campaign::execute`].
 pub fn measure(
     kernel: &dyn Kernel,
     imp: Impl,
@@ -385,7 +347,8 @@ pub fn measure(
     scale: Scale,
     seed: u64,
 ) -> Measurement {
-    measure_multi(kernel, imp, w, std::slice::from_ref(cfg), scale, seed)
+    let mut rec = record_group(kernel, imp, w, scale, seed, None);
+    measure_recorded(&mut rec, std::slice::from_ref(cfg), width_factor(imp, w))
         .pop()
         .expect("one config in, one measurement out")
 }

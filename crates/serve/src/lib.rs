@@ -45,8 +45,8 @@ use std::time::Instant;
 use swan_core::profile::{Phase, ProfileScope};
 use swan_core::report::{scenario_row, scenario_row_header};
 use swan_core::{
-    execution_groups, filter_plan, group_key_string, inventory_digest, plan, try_execute_plan_with,
-    Kernel, Measurement, Scale, Scenario, ScenarioFilter, TraceStore,
+    execution_groups, filter_plan, group_key_string, inventory_digest, plan, Campaign, Kernel,
+    Measurement, Scale, Scenario, ScenarioFilter, TraceStore,
 };
 
 /// Which answer tier satisfied one scenario group of one request.
@@ -486,7 +486,8 @@ impl Server {
     /// a handler per query (at most `max_requests` concurrent), stream
     /// response lines to `writer`. Returns after `quit` or EOF, once
     /// every in-flight handler has finished, ending with one final
-    /// `serve:` stats line.
+    /// `serve:` stats line. A line longer than [`MAX_REQUEST_LINE`] is
+    /// answered with an `error` line (counted in `errors=`) and skipped.
     ///
     /// Response lines, all prefixed with the request id:
     ///
@@ -497,7 +498,11 @@ impl Server {
     /// <id> end scenarios=N groups=G cache=A shared=B fresh=C failures=F
     /// <id> error <message>
     /// ```
-    pub fn serve_lines(&self, reader: impl BufRead, writer: impl Write + Send) -> io::Result<()> {
+    pub fn serve_lines(
+        &self,
+        mut reader: impl BufRead,
+        writer: impl Write + Send,
+    ) -> io::Result<()> {
         let out = Out {
             writer: Mutex::new(writer),
         };
@@ -505,9 +510,25 @@ impl Server {
         let mut auto_id: u64 = 0;
         let mut read_err = None;
         std::thread::scope(|scope| {
-            for line in reader.lines() {
-                let line = match line {
-                    Ok(line) => line,
+            let mut buf = Vec::new();
+            loop {
+                let line = match read_request_line(&mut reader, &mut buf) {
+                    Ok(Some(true)) => match std::str::from_utf8(&buf) {
+                        Ok(line) => line,
+                        Err(e) => {
+                            read_err = Some(io::Error::new(io::ErrorKind::InvalidData, e));
+                            break;
+                        }
+                    },
+                    Ok(Some(false)) => {
+                        auto_id += 1;
+                        self.inner.counters.errors.fetch_add(1, Ordering::Relaxed);
+                        let _ = out.line(&format!(
+                            "q{auto_id} error request line exceeds {MAX_REQUEST_LINE} bytes"
+                        ));
+                        continue;
+                    }
+                    Ok(None) => break,
                     Err(e) => {
                         read_err = Some(e);
                         break;
@@ -516,7 +537,7 @@ impl Server {
                 if line.trim().is_empty() {
                     continue;
                 }
-                match parse_request(&line) {
+                match parse_request(line) {
                     Request::Quit => break,
                     Request::Stats => {
                         let _ = out.line(&self.stats_line());
@@ -651,21 +672,14 @@ impl Drop for Server {
 /// taking the in-flight lock or vice versa.
 fn worker_loop(inner: &Inner) {
     while let Some(job) = inner.queue.pop() {
-        let (measurements, failures) = try_execute_plan_with(
-            &inner.kernels,
-            &job.scenarios,
-            1,
-            inner.store.as_deref(),
-            |_| {},
-        );
-        let outcome: GroupOutcome = match failures.into_iter().next() {
+        let campaign = Campaign {
+            store: inner.store.as_deref(),
+            ..Campaign::default()
+        };
+        let run = campaign.execute(&inner.kernels, &job.scenarios, |_| {});
+        let outcome: GroupOutcome = match run.failures.first() {
             Some(f) => Err(format!("{}: {}", f.id, f.message)),
-            None => Ok(Arc::new(
-                measurements
-                    .into_iter()
-                    .map(|m| m.expect("no failures, so every scenario measured"))
-                    .collect(),
-            )),
+            None => Ok(Arc::new(run.complete())),
         };
         if let Ok(ms) = &outcome {
             inner.cache.insert(job.key.clone(), ms.clone());
@@ -677,6 +691,54 @@ fn worker_loop(inner: &Inner) {
             .remove(&job.key);
         job.cell.complete(outcome);
     }
+}
+
+/// Longest request line [`Server::serve_lines`] accepts, in bytes
+/// (line terminator excluded). A longer line is answered with one
+/// `error` line and skipped through its newline without being
+/// buffered, so a client that never sends a newline cannot grow its
+/// session's memory without bound.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// Read one request line into `buf`, without its `\n` or `\r\n`
+/// terminator. `Ok(Some(true))` is a line within [`MAX_REQUEST_LINE`];
+/// `Ok(Some(false))` an oversized line, consumed through its newline
+/// but never held beyond the cap; `Ok(None)` end of input.
+fn read_request_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<Option<bool>> {
+    buf.clear();
+    let mut fits = true;
+    let mut read_any = false;
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            break;
+        }
+        read_any = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.map_or(chunk.len(), |i| i + 1);
+        if fits && buf.len() + take > MAX_REQUEST_LINE + usize::from(newline.is_some()) {
+            fits = false;
+            buf.clear();
+        }
+        if fits {
+            buf.extend_from_slice(&chunk[..take]);
+        }
+        reader.consume(take);
+        if newline.is_some() {
+            break;
+        }
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    Ok(read_any.then_some(fits))
 }
 
 /// A shared line-oriented writer: one lock per line (or per group

@@ -1,7 +1,7 @@
-//! Parallel suite campaign: measure a kernel subset across worker
-//! threads with [`SuiteRunner`] and print the per-library speedup
-//! summary — the multi-threaded path `swan-report --threads N` uses
-//! for the full 59-kernel campaign.
+//! Parallel suite campaign: plan the paper's scenario matrix, execute
+//! it across worker threads with [`Campaign::execute`], fold it with
+//! [`aggregate`], and print the per-library speedup summary — the
+//! path `swan-report --threads N` takes for the full campaign.
 //!
 //! ```text
 //! cargo run --release --example campaign [threads]
@@ -25,12 +25,17 @@ fn main() {
 
     let t0 = std::time::Instant::now();
     let done = std::sync::atomic::AtomicUsize::new(0);
-    let suite = SuiteRunner::new(Scale::test(), 42)
-        .threads(threads)
-        .run(&kernels, |msg| {
-            let n = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-            eprintln!("  [{n:>2}/{}] {msg}", kernels.len());
-        });
+    let scenarios = plan(&kernels, Scale::test(), 42);
+    let campaign = Campaign {
+        threads,
+        ..Campaign::default()
+    };
+    let run = campaign.execute(&kernels, &scenarios, |msg| {
+        let n = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+        eprintln!("  [{n:>3}] {msg}");
+    });
+    assert!(run.failures.is_empty(), "{:?}", run.failures);
+    let suite = aggregate(&kernels, &scenarios, &run.measurements, Scale::test());
     println!("campaign finished in {:.1}s\n", t0.elapsed().as_secs_f32());
 
     let speedups: BTreeMap<Library, f64> = library_speedups(&suite);

@@ -68,19 +68,25 @@ fn main() {
         scalar.energy_j / neon.energy_j
     );
 
-    // The streaming fan-out: one traced execution pair drives several
-    // core models at once (no materialized trace, no re-capture).
-    let cores = [
-        CoreConfig::prime(),
-        CoreConfig::gold(),
-        CoreConfig::silver(),
-    ];
-    let multi = measure_multi(kernel.as_ref(), Impl::Neon, Width::W128, &cores, scale, 42);
+    // The campaign path: this kernel's Neon@128 scenarios on the three
+    // Figure 4 cores are one stream group — one recorded execution
+    // replayed into every core (no materialized trace, no re-capture).
+    let only = CoreId::BASE.map(|core| ScenarioFilter {
+        kernel: Some(meta.id().to_ascii_lowercase()),
+        imp: Some(Impl::Neon),
+        width: Some(Width::W128),
+        core: Some(core),
+        ..ScenarioFilter::default()
+    });
+    let scenarios = filter_plan(&plan(&kernels, scale, 42), &only);
+    let multi = Campaign::default()
+        .execute(&kernels, &scenarios, |_| {})
+        .complete();
     println!("\nNeon across cores (single traced execution):");
-    for (cfg, m) in cores.iter().zip(&multi) {
+    for (sc, m) in scenarios.iter().zip(&multi) {
         println!(
             "  {:<28} {:>10} cycles {:>9.1} us {:>7.2} W",
-            cfg.name,
+            sc.core.config().name,
             m.sim.cycles,
             m.seconds() * 1e6,
             m.power_w

@@ -101,10 +101,9 @@
 //! pin trace digests the journal does not persist; see CONTRIBUTING,
 //! "The checkpoint journal").
 
-use std::sync::Arc;
 use swan_core::report::{self, SuiteResults};
 use swan_core::{
-    golden, CampaignJournal, CheckpointedRun, Scale, Scenario, ScenarioFilter, SuiteRunner,
+    golden, Campaign, CampaignJournal, CampaignRun, KernelFailure, Scale, Scenario, ScenarioFilter,
     TraceStore,
 };
 use swan_kernels::xp::{conv_layers, GemmF32, Shape, SpmmF32};
@@ -363,11 +362,8 @@ fn main() {
 
     // The persistent trace store, if requested. Opened once and shared
     // by whichever campaign runs below; keyed by this inventory.
-    let store: Option<Arc<TraceStore>> = store_dir.as_ref().map(|dir| {
-        Arc::new(
-            TraceStore::open(dir, &kernels)
-                .unwrap_or_else(|e| panic!("open trace store {dir}: {e}")),
-        )
+    let store: Option<TraceStore> = store_dir.as_ref().map(|dir| {
+        TraceStore::open(dir, &kernels).unwrap_or_else(|e| panic!("open trace store {dir}: {e}"))
     });
     let print_store_stats = || {
         if !store_stats {
@@ -394,14 +390,13 @@ fn main() {
     // The campaign checkpoint journal, if requested. Opened where the
     // scale is final (perf/golden modes adjust it after parsing);
     // keyed by the inventory, scale, and seed like the trace store.
-    let open_journal = |scale: Scale| -> Arc<CampaignJournal> {
-        let dir = checkpoint_dir.as_ref().expect("checkpoint dir set");
-        Arc::new(
+    let open_journal = || -> Option<CampaignJournal> {
+        checkpoint_dir.as_ref().map(|dir| {
             CampaignJournal::open(dir, &kernels, scale, seed)
-                .unwrap_or_else(|e| panic!("open checkpoint journal {dir}: {e}")),
-        )
+                .unwrap_or_else(|e| panic!("open checkpoint journal {dir}: {e}"))
+        })
     };
-    let print_checkpoint_stats = |journal: &CampaignJournal, run: &CheckpointedRun| {
+    let print_checkpoint_stats = |journal: &CampaignJournal, run: &CampaignRun| {
         let s = journal.stats();
         eprintln!(
             "checkpoint: dir={} groups={} resumed={} executed={} skipped={} \
@@ -415,15 +410,6 @@ fn main() {
             s.written,
             s.bytes_written,
         );
-    };
-    let exit_on_failures = |failures: &[swan_core::KernelFailure]| {
-        if failures.is_empty() {
-            return;
-        }
-        for f in failures {
-            eprintln!("campaign kernel failed: {}: {}", f.id, f.message);
-        }
-        std::process::exit(1);
     };
 
     if let Some((wi, wof)) = worker {
@@ -446,7 +432,7 @@ fn main() {
                 wants.join(" ")
             );
         }
-        let journal = open_journal(scale);
+        let journal = open_journal().expect("--worker requires --checkpoint");
         let full = swan_core::plan(&kernels, scale, seed);
         let selected = swan_core::filter_plan(&full, &filters);
         if selected.is_empty() {
@@ -460,15 +446,15 @@ fn main() {
             scale.0,
             if threads == 1 { "" } else { "s" }
         );
-        let run = swan_core::try_execute_plan_checkpointed(
-            &kernels,
-            &selected,
+        let campaign = Campaign {
             threads,
-            store.as_deref(),
-            &journal,
-            Some((wi, wof)),
-            |msg| eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32()),
-        );
+            store: store.as_ref(),
+            journal: Some(&journal),
+            shard: Some((wi, wof)),
+        };
+        let run = campaign.execute(&kernels, &selected, |msg| {
+            eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32())
+        });
         print_store_stats();
         let s = journal.stats();
         eprintln!(
@@ -519,7 +505,7 @@ fn main() {
             scale.0,
             swan_core::perf::REPRESENTATIVES.len()
         );
-        let rep = swan_core::probe(&kernels, scale, seed, store.as_deref());
+        let rep = swan_core::probe(&kernels, scale, seed, store.as_ref());
         print_store_stats();
         print!("{}", rep.render());
         eprintln!("perf probe done in {:.1}s", t0.elapsed().as_secs_f32());
@@ -637,11 +623,15 @@ fn main() {
             scale.0,
             if threads == 1 { "" } else { "s" }
         );
-        let entries =
-            golden::collect_with(&kernels, scale, seed, threads, store.as_deref(), |msg| {
-                eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32());
-            });
+        let plan = swan_core::plan(&kernels, scale, seed);
+        let collected = golden::collect(&kernels, &plan, threads, store.as_ref(), |msg| {
+            eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32());
+        });
         print_store_stats();
+        let entries = collected.unwrap_or_else(|failures| {
+            exit_on_failures(&failures);
+            unreachable!("collection failed without failures")
+        });
         let actual = golden::to_json(scale, seed, &entries);
         if let Some(path) = golden_write {
             std::fs::write(&path, &actual).expect("write golden baseline");
@@ -698,30 +688,22 @@ fn main() {
             scale.0,
             if threads == 1 { "" } else { "s" }
         );
-        let measurements = if checkpoint_dir.is_some() {
-            let journal = open_journal(scale);
-            let run = swan_core::try_execute_plan_checkpointed(
-                &kernels,
-                &selected,
-                threads,
-                store.as_deref(),
-                &journal,
-                None,
-                |msg| eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32()),
-            );
-            print_checkpoint_stats(&journal, &run);
-            exit_on_failures(&run.failures);
-            run.measurements
-                .into_iter()
-                .map(|m| m.expect("no failures, so every group measured"))
-                .collect()
-        } else {
-            swan_core::execute_plan_with(&kernels, &selected, threads, store.as_deref(), |msg| {
-                eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32());
-            })
+        let journal = open_journal();
+        let campaign = Campaign {
+            threads,
+            store: store.as_ref(),
+            journal: journal.as_ref(),
+            shard: None,
         };
+        let run = campaign.execute(&kernels, &selected, |msg| {
+            eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32())
+        });
+        if let Some(journal) = &journal {
+            print_checkpoint_stats(journal, &run);
+        }
+        exit_on_failures(&run.failures);
         print_store_stats();
-        print_scenarios(&selected, &measurements);
+        print_scenarios(&selected, &run.complete());
         eprintln!("done in {:.1}s", t0.elapsed().as_secs_f32());
         emit_profile("scenario subset");
         return;
@@ -755,33 +737,25 @@ fn main() {
             if threads == 1 { "" } else { "s" }
         );
         let t0 = std::time::Instant::now();
-        let s = if checkpoint_dir.is_some() {
-            // Checkpointed campaign: resume whatever the journal
-            // already holds (from a killed run or `--worker` shards),
-            // simulate only the remaining groups, aggregate as usual.
-            let journal = open_journal(scale);
-            let full = swan_core::plan(&kernels, scale, seed);
-            let run = swan_core::try_execute_plan_checkpointed(
-                &kernels,
-                &full,
-                threads,
-                store.as_deref(),
-                &journal,
-                None,
-                |msg| eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32()),
-            );
-            print_checkpoint_stats(&journal, &run);
-            exit_on_failures(&run.failures);
-            swan_core::aggregate(&kernels, &full, &run.measurements, scale)
-        } else {
-            let mut runner = SuiteRunner::new(scale, seed).threads(threads);
-            if let Some(s) = &store {
-                runner = runner.store(s.clone());
-            }
-            runner.run(&kernels, |msg| {
-                eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32());
-            })
+        // With --checkpoint, resume whatever the journal already holds
+        // (from a killed run or `--worker` shards) and simulate only
+        // the remaining groups.
+        let journal = open_journal();
+        let campaign = Campaign {
+            threads,
+            store: store.as_ref(),
+            journal: journal.as_ref(),
+            shard: None,
         };
+        let full = swan_core::plan(&kernels, scale, seed);
+        let run = campaign.execute(&kernels, &full, |msg| {
+            eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32())
+        });
+        if let Some(journal) = &journal {
+            print_checkpoint_stats(journal, &run);
+        }
+        exit_on_failures(&run.failures);
+        let s = swan_core::aggregate(&kernels, &full, &run.measurements, scale);
         eprintln!("suite done in {:.1}s", t0.elapsed().as_secs_f32());
         print_store_stats();
         Some(s)
@@ -840,6 +814,18 @@ fn main() {
     }
 
     emit_profile("report suite");
+}
+
+/// Name every failed campaign group on stderr and exit 1 (a runtime
+/// failure, not an argument error), unless there are none.
+fn exit_on_failures(failures: &[KernelFailure]) {
+    if failures.is_empty() {
+        return;
+    }
+    for f in failures {
+        eprintln!("campaign kernel failed: {}: {}", f.id, f.message);
+    }
+    std::process::exit(1);
 }
 
 /// Print one measured row per scenario (the `--only` output form).

@@ -22,6 +22,16 @@
 //! let neon = measure(kernel.as_ref(), Impl::Neon, Width::W128,
 //!                    &CoreConfig::prime(), Scale::test(), 42);
 //! assert!(neon.seconds() < scalar.seconds());
+//!
+//! // Whole campaigns: plan the paper's scenario matrix, keep a slice
+//! // of it, and execute it — one recorded run per instruction stream,
+//! // replayed into every core the slice names.
+//! let kernels = swan::suite();
+//! let only = ScenarioFilter::parse("kernel=adler32,impl=neon,width=128").unwrap();
+//! let scenarios = filter_plan(&plan(&kernels, Scale::test(), 42), &[only]);
+//! let run = Campaign { threads: 2, ..Campaign::default() }.execute(&kernels, &scenarios, |_| {});
+//! assert_eq!(run.executed_groups, 1);
+//! assert_eq!(run.complete().len(), scenarios.len());
 //! ```
 
 pub use swan_accel as accel;
@@ -38,8 +48,8 @@ pub fn suite() -> Vec<Box<dyn swan_core::Kernel>> {
 /// Convenient re-exports for examples and downstream users.
 pub mod prelude {
     pub use swan_core::{
-        measure, measure_multi, plan, verify_kernel, Impl, Kernel, KernelMeta, Library,
-        Measurement, Scale, Scenario, ScenarioFilter, SuiteRunner,
+        aggregate, filter_plan, measure, plan, verify_kernel, Campaign, CampaignRun, Impl, Kernel,
+        KernelMeta, Library, Measurement, Scale, Scenario, ScenarioFilter,
     };
     pub use swan_simd::{Vreg, Width};
     pub use swan_uarch::{CoreConfig, CoreId};

@@ -6,33 +6,20 @@
 //! through monomorphic `warm_batch`/`step_batch` loops; the reference
 //! path delivers the same stream one virtual `TraceSink::on_instr`
 //! call at a time. These tests hold the two paths to exact
-//! `SimResult` equality across the *full quick-scale golden plan* —
-//! every kernel, implementation, width, and core of the committed
-//! baseline — and pin the double-buffered (threaded) store replay to
-//! the in-memory batch path bit for bit.
+//! `SimResult` equality on one stream per library — every core it
+//! fans out to — and pin the double-buffered (threaded) store replay
+//! to the in-memory batch path bit for bit. `CoreModel::step` is
+//! itself `step_batch` over one instruction, and the golden suite pins
+//! the batch path across the whole plan, so one stream per library is
+//! enough to catch a divergence in the per-instruction sink adapter.
 
-use std::collections::HashMap;
-use swan_core::{plan, record_group, Scale, Scenario, TraceStore};
+use swan_core::{
+    execution_groups, filter_plan, plan, record_group, Scale, ScenarioFilter, TraceStore,
+};
 use swan_simd::trace::{HashSink, TraceSink};
 use swan_uarch::{CoreConfig, MultiCore, SimResult};
 
 const GOLDEN_SEED: u64 = 42;
-
-/// Group a plan's scenarios by shared instruction stream, preserving
-/// first-appearance order (the campaign executor's grouping, done by
-/// hand here: the campaign's helpers are internal).
-fn stream_groups(plan: &[Scenario]) -> Vec<Vec<&Scenario>> {
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let mut groups: Vec<Vec<&Scenario>> = Vec::new();
-    for sc in plan {
-        let i = *index.entry(sc.stream_id()).or_insert_with(|| {
-            groups.push(Vec::new());
-            groups.len() - 1
-        });
-        groups[i].push(sc);
-    }
-    groups
-}
 
 /// Warm + timed batch replay of a recording through one model per
 /// config, returning the finalized results.
@@ -56,23 +43,23 @@ fn run_per_instr(rec: &mut swan_core::GroupRecording, cfgs: &[CoreConfig]) -> Ve
     multi.finalize()
 }
 
-/// The tentpole differential: across the complete quick-scale golden
-/// plan (the 485 committed-baseline scenarios), batch stepping every
-/// scenario group's recording equals per-instruction stepping,
-/// `SimResult` field for field. Any divergence in the hoisted-phase
-/// loop, the fixed-size unit pools, the const cost table, or the
-/// batch decode arena shows up here as a named scenario.
+/// Per-instruction stepping equals batch stepping, `SimResult` field
+/// for field, on the Neon@128 stream of each library's first kernel
+/// (one scenario group per library, replayed into every core of the
+/// group — the Figure 5(b) sweep included for representatives).
 #[test]
-fn batch_stepping_matches_per_instruction_across_the_golden_plan() {
+fn batch_stepping_matches_per_instruction_on_one_stream_per_library() {
     let kernels = swan_kernels::all_kernels();
-    let plan = plan(&kernels, Scale::quick(), GOLDEN_SEED);
-    let groups = stream_groups(&plan);
-    assert!(
-        groups.len() > 100,
-        "the golden plan must fan out into many stream groups"
-    );
+    let neon = ScenarioFilter::parse("impl=neon,width=128").expect("filter");
+    let scenarios = filter_plan(&plan(&kernels, Scale::test(), GOLDEN_SEED), &[neon]);
+    let mut libraries = std::collections::HashSet::new();
+    let groups: Vec<Vec<usize>> = execution_groups(&scenarios)
+        .into_iter()
+        .filter(|g| libraries.insert(kernels[scenarios[g[0]].kernel].meta().library))
+        .collect();
+    assert_eq!(groups.len(), 12, "one stream group per library");
     for group in groups {
-        let sc0 = group[0];
+        let sc0 = &scenarios[group[0]];
         let mut rec = record_group(
             kernels[sc0.kernel].as_ref(),
             sc0.imp,
@@ -81,7 +68,7 @@ fn batch_stepping_matches_per_instruction_across_the_golden_plan() {
             sc0.seed,
             None,
         );
-        let cfgs: Vec<CoreConfig> = group.iter().map(|sc| sc.core.config()).collect();
+        let cfgs: Vec<CoreConfig> = group.iter().map(|&i| scenarios[i].core.config()).collect();
         let reference = run_per_instr(&mut rec, &cfgs);
         let batched = run_batched(&mut rec, &cfgs);
         assert_eq!(

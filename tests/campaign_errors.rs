@@ -1,8 +1,28 @@
-//! `campaign::SuiteRunner` error paths: a panicking kernel in one
-//! shard must not poison sibling shards' results.
+//! `Campaign::execute` error paths: a panicking kernel in one shard
+//! must not poison sibling shards' results.
 
-use swan_core::{Impl, Kernel, KernelMeta, Runnable, Scale, SuiteRunner};
+use swan_core::report::SuiteResults;
+use swan_core::{
+    aggregate, plan, Campaign, Impl, Kernel, KernelFailure, KernelMeta, Runnable, Scale,
+};
 use swan_simd::Width;
+
+/// Execute the full plan of `kernels` on `threads` workers and fold
+/// it: the kernels whose every group measured, plus one failure per
+/// failed group.
+fn execute_suite(
+    kernels: &[Box<dyn Kernel>],
+    threads: usize,
+) -> (SuiteResults, Vec<KernelFailure>) {
+    let plan = plan(kernels, Scale::test(), 7);
+    let campaign = Campaign {
+        threads,
+        ..Campaign::default()
+    };
+    let run = campaign.execute(kernels, &plan, |_| {});
+    let suite = aggregate(kernels, &plan, &run.measurements, Scale::test());
+    (suite, run.failures)
+}
 
 /// A kernel whose measurement always panics — optionally only after
 /// emitting part of a trace, so the tracer session is mid-flight (the
@@ -84,17 +104,17 @@ fn panicking_kernel_does_not_poison_sibling_shards() {
         .collect();
 
     for threads in [1, 3] {
-        let (suite, failures) = SuiteRunner::new(Scale::test(), 7)
-            .threads(threads)
-            .try_run(&kernels, |_| {});
+        let (suite, failures) = execute_suite(&kernels, threads);
         let measured: Vec<String> = suite.kernels.iter().map(|k| k.meta.id()).collect();
         assert_eq!(
             measured, good,
             "({threads} threads) every healthy kernel must be fully \
              measured, in suite order"
         );
+        // One failure per scenario group of each exploding kernel.
         let mut failed: Vec<&str> = failures.iter().map(|f| f.id.as_str()).collect();
         failed.sort_unstable();
+        failed.dedup();
         assert_eq!(failed, ["ZL.exploding_early", "ZL.exploding_mid_trace"]);
         for f in &failures {
             assert!(
@@ -105,9 +125,8 @@ fn panicking_kernel_does_not_poison_sibling_shards() {
         }
         // Sibling results are not just present but correct: they match
         // a clean campaign of only the healthy kernels bit for bit.
-        let clean = SuiteRunner::new(Scale::test(), 7)
-            .threads(threads)
-            .run(&suite_only(&good), |_| {});
+        let (clean, clean_failures) = execute_suite(&suite_only(&good), threads);
+        assert!(clean_failures.is_empty());
         for (a, b) in suite.kernels.iter().zip(clean.kernels.iter()) {
             assert_eq!(a.meta.id(), b.meta.id());
             assert_eq!(a.neon.sim, b.neon.sim, "{}", a.meta.id());
@@ -126,12 +145,14 @@ fn suite_only(ids: &[String]) -> Vec<Box<dyn Kernel>> {
 #[test]
 fn run_panics_with_failure_summary() {
     let kernels = mixed_inventory();
-    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        SuiteRunner::new(Scale::test(), 7)
-            .threads(2)
-            .run(&kernels, |_| {});
-    }))
-    .expect_err("run() must surface kernel failures");
+    let plan = plan(&kernels, Scale::test(), 7);
+    let run = Campaign {
+        threads: 2,
+        ..Campaign::default()
+    }
+    .execute(&kernels, &plan, |_| {});
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run.complete()))
+        .expect_err("complete() must surface kernel failures");
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(
         msg.contains("exploding_early") && msg.contains("exploding_mid_trace"),
@@ -153,12 +174,11 @@ fn tracer_rearms_after_mid_trace_panic_on_same_thread() {
     ];
     // Single-threaded: the healthy kernel measures on the thread the
     // panic unwound through.
-    let (suite, failures) = SuiteRunner::new(Scale::test(), 7).try_run(&kernels, |_| {});
-    assert_eq!(failures.len(), 1);
+    let (suite, failures) = execute_suite(&kernels, 1);
+    assert!(!failures.is_empty());
+    assert!(failures.iter().all(|f| f.id == "ZL.exploding_mid_trace"));
     assert_eq!(suite.kernels.len(), 1);
-    let clean = SuiteRunner::new(Scale::test(), 7)
-        .try_run(&kernels[1..], |_| {})
-        .0;
+    let clean = execute_suite(&kernels[1..], 1).0;
     assert_eq!(
         suite.kernels[0].neon.sim, clean.kernels[0].neon.sim,
         "post-panic measurement must equal a clean-thread measurement"

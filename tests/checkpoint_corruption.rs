@@ -13,7 +13,7 @@
 use std::fs;
 use std::path::PathBuf;
 use swan::prelude::*;
-use swan_core::{plan, CampaignJournal, Measurement};
+use swan_core::{plan, CampaignJournal, CampaignRun, Measurement};
 
 const SEED: u64 = 7;
 
@@ -35,7 +35,16 @@ fn entry_paths(journal: &CampaignJournal) -> Vec<PathBuf> {
     out
 }
 
-fn assert_bit_identical(a: &[Measurement], b: &[Measurement], what: &str) {
+/// Execute the plan of `kernels` serially against `journal`.
+fn journaled(kernels: &[Box<dyn Kernel>], journal: &CampaignJournal) -> CampaignRun {
+    let campaign = Campaign {
+        journal: Some(journal),
+        ..Campaign::default()
+    };
+    campaign.execute(kernels, &plan(kernels, Scale::test(), SEED), |_| {})
+}
+
+fn assert_bit_identical(a: &[Option<Measurement>], b: &[Option<Measurement>], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: measurement count");
     for (x, y) in a.iter().zip(b) {
         // Full-struct equality: histograms, timing, cache statistics,
@@ -50,11 +59,11 @@ fn assert_bit_identical(a: &[Measurement], b: &[Measurement], what: &str) {
 fn corruption_scenario(tag: &str, corrupt: impl Fn(&PathBuf)) {
     let kernels: Vec<Box<dyn Kernel>> = swan::suite().into_iter().take(2).collect();
     let dir = journal_dir(tag);
-    let matrix = plan(&kernels, Scale::test(), SEED);
 
     let journal = CampaignJournal::open(&dir, &kernels, Scale::test(), SEED).expect("open journal");
-    let (cold, populated) =
-        swan_core::execute_plan_checkpointed(&kernels, &matrix, 1, None, &journal, |_| {});
+    let populated = journaled(&kernels, &journal);
+    assert!(populated.failures.is_empty());
+    let cold = &populated.measurements;
     assert_eq!(populated.resumed_groups, 0);
     assert!(
         populated.executed_groups > 0,
@@ -70,8 +79,7 @@ fn corruption_scenario(tag: &str, corrupt: impl Fn(&PathBuf)) {
     // Fresh handle (fresh counters), same directory — like a new
     // process resuming after the damage happened.
     let journal = CampaignJournal::open(&dir, &kernels, Scale::test(), SEED).expect("reopen");
-    let (recovered, run) =
-        swan_core::execute_plan_checkpointed(&kernels, &matrix, 1, None, &journal, |_| {});
+    let run = journaled(&kernels, &journal);
     assert_eq!(
         journal.stats().discarded,
         entries.len() as u64,
@@ -86,17 +94,16 @@ fn corruption_scenario(tag: &str, corrupt: impl Fn(&PathBuf)) {
         entries.len(),
         "{tag}: every damaged group must be re-simulated"
     );
-    assert_bit_identical(&cold, &recovered, tag);
+    assert_bit_identical(cold, &run.measurements, tag);
 
     // The re-simulation healed the journal in place: a third run
     // resumes everything and is still bit-identical.
     let journal = CampaignJournal::open(&dir, &kernels, Scale::test(), SEED).expect("reopen");
-    let (warm, run) =
-        swan_core::execute_plan_checkpointed(&kernels, &matrix, 1, None, &journal, |_| {});
+    let run = journaled(&kernels, &journal);
     assert_eq!(journal.stats().discarded, 0, "{tag}: healed");
     assert_eq!(run.resumed_groups, entries.len(), "{tag}: all resumed");
     assert_eq!(run.executed_groups, 0, "{tag}: nothing re-simulated");
-    assert_bit_identical(&cold, &warm, tag);
+    assert_bit_identical(cold, &run.measurements, tag);
 
     let _ = fs::remove_dir_all(&dir);
 }

@@ -234,15 +234,16 @@ fn resume_reexecutes_nothing_and_matches_serial_bitwise() {
     let journal = CampaignJournal::open(&dir, &kernels, Scale::test(), SEED).expect("open journal");
 
     // Phase 1: one worker's disjoint half fills part of the journal.
-    let half = swan_core::try_execute_plan_checkpointed(
-        &kernels,
-        &plan,
-        2,
-        None,
-        &journal,
-        Some((0, 2)),
-        |_| {},
-    );
+    let campaign = Campaign {
+        threads: 2,
+        journal: Some(&journal),
+        ..Campaign::default()
+    };
+    let half = Campaign {
+        shard: Some((0, 2)),
+        ..campaign
+    }
+    .execute(&kernels, &plan, |_| {});
     assert!(half.failures.is_empty());
     assert!(half.executed_groups > 0 && half.skipped_groups > 0);
     assert_eq!(half.executed_groups + half.skipped_groups, total_groups);
@@ -253,8 +254,7 @@ fn resume_reexecutes_nothing_and_matches_serial_bitwise() {
     );
 
     // Phase 2: full resume — only the other shard's groups execute.
-    let full =
-        swan_core::try_execute_plan_checkpointed(&kernels, &plan, 2, None, &journal, None, |_| {});
+    let full = campaign.execute(&kernels, &plan, |_| {});
     assert!(full.failures.is_empty());
     assert_eq!(full.resumed_groups, half.executed_groups);
     assert_eq!(full.executed_groups, half.skipped_groups);
@@ -266,13 +266,14 @@ fn resume_reexecutes_nothing_and_matches_serial_bitwise() {
     );
 
     // Phase 3: the journal now satisfies the whole plan for free.
-    let replay =
-        swan_core::try_execute_plan_checkpointed(&kernels, &plan, 2, None, &journal, None, |_| {});
+    let replay = campaign.execute(&kernels, &plan, |_| {});
     assert_eq!(replay.resumed_groups, total_groups);
     assert_eq!(replay.executed_groups, 0);
     assert_eq!(runs.load(Ordering::SeqCst), total_groups, "still zero");
 
-    let serial = swan_core::execute_plan(&kernels, &plan, 1, |_| {});
+    let serial = Campaign::default()
+        .execute(&kernels, &plan, |_| {})
+        .complete();
     for ((sc, got), want) in plan.iter().zip(&replay.measurements).zip(&serial) {
         assert_eq!(
             got.as_ref(),

@@ -40,12 +40,13 @@ fn golden_suite_reproduces_and_matches_baseline() {
     let _ = std::fs::remove_dir_all(&dir);
     let store = TraceStore::open(&dir, &kernels).expect("open trace store");
 
-    let first = golden::collect_with(&kernels, scale, GOLDEN_SEED, 1, Some(&store), |_| {});
+    let matrix = plan(&kernels, scale, GOLDEN_SEED);
+    let first = golden::collect(&kernels, &matrix, 1, Some(&store), |_| {}).expect("collect");
     let cold = store.stats();
     assert_eq!(cold.hits, 0, "first campaign runs against a cold store");
     assert!(cold.inserts > 0 && cold.inserts == cold.misses);
 
-    let second = golden::collect_with(&kernels, scale, GOLDEN_SEED, 1, Some(&store), |_| {});
+    let second = golden::collect(&kernels, &matrix, 1, Some(&store), |_| {}).expect("collect");
     let warm = store.stats();
     assert_eq!(
         warm.misses, cold.misses,
@@ -61,7 +62,6 @@ fn golden_suite_reproduces_and_matches_baseline() {
 
     // The baseline covers the whole plan, keyed by scenario id: every
     // kernel × {Scalar, Auto, Neon} × its widths × its cores.
-    let matrix = plan(&kernels, scale, GOLDEN_SEED);
     assert_eq!(first.len(), matrix.len(), "one entry per planned scenario");
     for (e, sc) in first.iter().zip(&matrix) {
         assert_eq!(e.id, sc.id(), "entries follow canonical plan order");

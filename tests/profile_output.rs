@@ -17,7 +17,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use swan_core::profile::{self, Phase, ProfileReport};
 use swan_core::report::{scenario_row, scenario_row_header};
-use swan_core::{execute_plan_serial, filter_plan, plan, Scale, ScenarioFilter};
+use swan_core::{filter_plan, plan, Campaign, Scale, ScenarioFilter};
 
 /// The profiling switch is process-global; tests that flip it
 /// serialize here so the default-parallel test harness cannot
@@ -36,7 +36,9 @@ fn subset_rows() -> String {
     let filter = ScenarioFilter::parse("lib=ZL").expect("valid filter");
     let selected = filter_plan(&full, std::slice::from_ref(&filter));
     assert!(!selected.is_empty());
-    let measurements = execute_plan_serial(&kernels, &selected, |_| {});
+    let measurements = Campaign::default()
+        .execute(&kernels, &selected, |_| {})
+        .complete();
     let mut out = scenario_row_header();
     for (sc, m) in selected.iter().zip(&measurements) {
         out.push_str(&scenario_row(sc, m));

@@ -279,7 +279,9 @@ fn overlapping_queries_execute_each_group_once() {
     // Measurement values every served reply must equal bitwise.
     let plain: Vec<Box<dyn Kernel>> = swan::suite().into_iter().take(2).collect();
     let plan = swan_core::plan(&plain, Scale::test(), SEED);
-    let serial = swan_core::execute_plan_serial(&plain, &plan, |_| {});
+    let serial = Campaign::default()
+        .execute(&plain, &plan, |_| {})
+        .complete();
 
     let server = Server::new(
         kernels,
@@ -359,4 +361,38 @@ fn malformed_and_empty_queries_answer_with_errors() {
         2,
         "one stats line for the `stats` command, one at session end:\n{text}"
     );
+}
+
+/// A request line longer than `MAX_REQUEST_LINE` answers with one
+/// `error` line, counts in `errors=`, and is skipped through its
+/// newline without desynchronizing the session: the valid query that
+/// follows on the same reader is still answered.
+#[test]
+fn oversized_request_line_is_refused_and_the_session_continues() {
+    let kernels: Vec<Box<dyn Kernel>> = swan::suite().into_iter().take(1).collect();
+    let server = Server::new(
+        kernels,
+        None,
+        ServerConfig {
+            scale: Scale::test(),
+            seed: SEED,
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let oversized = format!("big|kernel={}", "x".repeat(swan_serve::MAX_REQUEST_LINE));
+    let input = format!("{oversized}\nok|impl=scalar\nquit\n");
+    // A small read buffer makes the oversized line span many refills.
+    let reader = std::io::BufReader::with_capacity(1024, input.as_bytes());
+    let mut out = Vec::new();
+    server.serve_lines(reader, &mut out).expect("serve session");
+    let text = String::from_utf8(out).expect("utf8 output");
+    let errors: Vec<&str> = text.lines().filter(|l| l.contains(" error ")).collect();
+    assert_eq!(errors.len(), 1, "exactly one error line:\n{text}");
+    assert!(errors[0].contains("exceeds"), "{}", errors[0]);
+    assert!(
+        text.lines().any(|l| l.starts_with("ok row ")) && text.contains("ok end "),
+        "the query after the oversized line must be answered:\n{text}"
+    );
+    assert!(text.contains("errors=1 "), "counted in errors=:\n{text}");
 }

@@ -19,6 +19,19 @@ use swan_uarch::{MultiCore, SimResult};
 
 const SEED: u64 = 7;
 
+/// Execute a plan with no store and no journal on `threads` workers.
+fn execute(
+    kernels: &[Box<dyn Kernel>],
+    plan: &[Scenario],
+    threads: usize,
+) -> Vec<swan_core::Measurement> {
+    let campaign = Campaign {
+        threads,
+        ..Campaign::default()
+    };
+    campaign.execute(kernels, plan, |_| {}).complete()
+}
+
 fn trace_of(inst: &mut dyn swan_core::Runnable, imp: Impl, w: Width) -> swan_simd::TraceData {
     let sess = Session::begin(Mode::Full);
     inst.run(imp, w);
@@ -115,12 +128,12 @@ fn streaming_measurement_equals_batch_replay() {
     }
 }
 
-/// The public `measure` (streaming) agrees with the explicit batch
-/// pipeline on histograms and instruction counts, and `measure_multi`
-/// fans out to per-config results that match single-config calls'
-/// mix-level data for every configuration.
+/// One recording fanned out to three cores (`record_group` +
+/// `measure_recorded`, the executor's group body) agrees with
+/// single-core `measure` calls on histograms, instruction counts and
+/// work, and orders the cores as the paper does.
 #[test]
-fn measure_multi_is_consistent_with_single_measures() {
+fn fanout_measurements_are_consistent_with_single_measures() {
     let kernels = swan::suite();
     let kernel = kernels
         .iter()
@@ -131,13 +144,13 @@ fn measure_multi_is_consistent_with_single_measures() {
         CoreConfig::gold(),
         CoreConfig::silver(),
     ];
-    let multi = swan_core::measure_multi(
+    let multi = fan_out(
         kernel.as_ref(),
         Impl::Neon,
-        Width::W128,
         &cfgs,
         Scale::test(),
         SEED,
+        None,
     );
     assert_eq!(multi.len(), 3);
     // Prime and Gold share the microarchitecture: identical cycles,
@@ -163,66 +176,24 @@ fn measure_multi_is_consistent_with_single_measures() {
         Scale::test(),
         SEED,
     );
-    assert_eq!(single.trace.by_op, multi[0].trace.by_op);
-    assert_eq!(single.sim.instrs, multi[0].sim.instrs);
-    assert_eq!(single.work_ops, multi[0].work_ops);
+    assert_eq!(
+        single, multi[0],
+        "one core of a fan-out equals a single measure"
+    );
 }
 
-/// Suite level: the scenario-sharded campaign produces *bit-identical*
-/// per-kernel results to the serial one, in the same order, for every
-/// worker count. Buffer address virtualization makes the entire
-/// measurement — timing and cache statistics included — independent of
-/// which thread (and which host allocation) instantiated the kernel,
-/// and scenario-group sharding keeps every scenario's measurement
-/// independent of which worker (and alongside which siblings) ran it.
-#[test]
-fn sharded_campaign_matches_serial_run_suite() {
-    let kernels: Vec<_> = swan::suite().into_iter().take(8).collect();
-    let serial = swan_core::report::run_suite(&kernels, Scale::test(), SEED, |_| {});
-    for threads in [1, 2, 7] {
-        let sharded = swan_core::SuiteRunner::new(Scale::test(), SEED)
-            .threads(threads)
-            .run(&kernels, |_| {});
-        assert_eq!(serial.kernels.len(), sharded.kernels.len());
-        for (s, p) in serial.kernels.iter().zip(sharded.kernels.iter()) {
-            assert_eq!(s.meta.id(), p.meta.id(), "kernel order must be stable");
-            for (which, a, b) in [
-                ("scalar", &s.scalar, &p.scalar),
-                ("auto", &s.auto, &p.auto),
-                ("neon", &s.neon, &p.neon),
-                ("neon_gold", &s.neon_gold, &p.neon_gold),
-                ("scalar_silver", &s.scalar_silver, &p.scalar_silver),
-            ] {
-                assert_eq!(
-                    a.trace.by_op,
-                    b.trace.by_op,
-                    "{} {which} ({threads} threads)",
-                    s.meta.id()
-                );
-                assert_eq!(a.work_ops, b.work_ops, "{} {which}", s.meta.id());
-                assert_eq!(
-                    a.sim,
-                    b.sim,
-                    "{} {which} ({threads} threads): virtualized addresses make \
-                     sharded and serial measurements bit-identical",
-                    s.meta.id()
-                );
-            }
-            // The width and core sweeps of the Figure 5 representatives
-            // ride the same scenario path; pin them too.
-            assert_eq!(s.widths.is_some(), p.widths.is_some());
-            if let (Some(sw), Some(pw)) = (&s.widths, &p.widths) {
-                for (a, b) in sw.iter().zip(pw.iter()) {
-                    assert_eq!(a.sim, b.sim, "{} widths", s.meta.id());
-                }
-            }
-            if let (Some(ss), Some(ps)) = (&s.sweep, &p.sweep) {
-                for (a, b) in ss.iter().zip(ps.iter()) {
-                    assert_eq!(a.sim, b.sim, "{} sweep", s.meta.id());
-                }
-            }
-        }
-    }
+/// Record one W128 group (through `store` when given) and replay it
+/// into `cfgs` — the executor's per-group body.
+fn fan_out(
+    kernel: &dyn Kernel,
+    imp: Impl,
+    cfgs: &[CoreConfig],
+    scale: Scale,
+    seed: u64,
+    store: Option<&swan_core::TraceStore>,
+) -> Vec<swan_core::Measurement> {
+    let mut rec = swan_core::record_group(kernel, imp, Width::W128, scale, seed, store);
+    swan_core::measure_recorded(&mut rec, cfgs, 1.0)
 }
 
 /// A scenario's measurement depends only on the scenario itself, not
@@ -235,7 +206,7 @@ fn permuted_and_filtered_plans_are_scenario_bit_identical() {
     use std::collections::HashMap;
     let kernels: Vec<_> = swan::suite().into_iter().take(4).collect();
     let plan = swan_core::plan(&kernels, Scale::test(), SEED);
-    let baseline = swan_core::execute_plan(&kernels, &plan, 1, |_| {});
+    let baseline = execute(&kernels, &plan, 1);
     let by_id: HashMap<String, &swan_core::Measurement> = plan
         .iter()
         .zip(baseline.iter())
@@ -246,7 +217,7 @@ fn permuted_and_filtered_plans_are_scenario_bit_identical() {
     // execution group's adjacency and inverts kernel order.
     let mut permuted = plan.clone();
     permuted.reverse();
-    let results = swan_core::execute_plan(&kernels, &permuted, 2, |_| {});
+    let results = execute(&kernels, &permuted, 2);
     assert_eq!(results.len(), permuted.len());
     for (sc, m) in permuted.iter().zip(results.iter()) {
         let b = by_id[&sc.id()];
@@ -260,7 +231,7 @@ fn permuted_and_filtered_plans_are_scenario_bit_identical() {
     let only = swan_core::ScenarioFilter::parse("impl=neon,width=128").unwrap();
     let subset = swan_core::filter_plan(&plan, &[only]);
     assert!(!subset.is_empty() && subset.len() < plan.len());
-    let sub_results = swan_core::execute_plan(&kernels, &subset, 1, |_| {});
+    let sub_results = execute(&kernels, &subset, 1);
     for (sc, m) in subset.iter().zip(sub_results.iter()) {
         assert_eq!(m.sim, by_id[&sc.id()].sim, "{}: subset must match", sc.id());
     }
@@ -297,7 +268,7 @@ fn replayed_campaign_matches_functionally_executed_campaign() {
     }
 
     for threads in [1, 2, 7] {
-        let results = swan_core::execute_plan(&kernels, &plan, threads, |_| {});
+        let results = execute(&kernels, &plan, threads);
         for (sc, m) in plan.iter().zip(&results) {
             assert_eq!(
                 m.sim,
@@ -313,7 +284,7 @@ fn replayed_campaign_matches_functionally_executed_campaign() {
     // (groups broken up, kernels inverted).
     let mut permuted = plan.clone();
     permuted.reverse();
-    let results = swan_core::execute_plan(&kernels, &permuted, 2, |_| {});
+    let results = execute(&kernels, &permuted, 2);
     for (sc, m) in permuted.iter().zip(&results) {
         assert_eq!(m.sim, reference[&sc.id()], "{}: permuted plan", sc.id());
     }
@@ -378,7 +349,7 @@ fn each_scenario_group_executes_its_kernel_exactly_once() {
     assert!(plan.len() > groups.len(), "groups must fan out to cores");
     for threads in [1, 2] {
         runs.store(0, Ordering::SeqCst);
-        let results = swan_core::execute_plan(&kernels, &plan, threads, |_| {});
+        let results = execute(&kernels, &plan, threads);
         assert_eq!(results.len(), plan.len());
         assert_eq!(
             runs.load(Ordering::SeqCst),
@@ -387,15 +358,6 @@ fn each_scenario_group_executes_its_kernel_exactly_once() {
              ({threads} threads)"
         );
     }
-    // The single-kernel convenience path keeps the same discipline.
-    runs.store(0, Ordering::SeqCst);
-    let _ = swan_core::measure_kernel(kernels[0].as_ref(), Scale::test(), SEED);
-    let single_groups: std::collections::HashSet<String> = plan
-        .iter()
-        .filter(|sc| sc.kernel == 0)
-        .map(|sc| sc.stream_id())
-        .collect();
-    assert_eq!(runs.load(Ordering::SeqCst), single_groups.len());
 }
 
 /// Multi-process extension of the sharding equivalence: three
@@ -440,7 +402,7 @@ fn multi_process_worker_shards_resume_to_serial_campaign() {
     let only = swan_core::ScenarioFilter::parse("lib=ZL").expect("filter");
     let selected = swan_core::filter_plan(&full, &[only]);
     assert!(!selected.is_empty());
-    let serial = swan_core::execute_plan(&kernels, &selected, 1, |_| {});
+    let serial = execute(&kernels, &selected, 1);
 
     // Resume over the workers' joint journal: everything present,
     // nothing remaining, every measurement bit-identical to serial.
@@ -560,10 +522,9 @@ fn store_backed_recording_is_chunk_resident_and_bit_identical() {
     // No other test in this binary spills through the codec, so the
     // process-wide spill counters isolate this store's recorders.
     let before = swan_simd::trace::codec::recorded_totals();
-    let cold = swan_core::measure_multi_with(
+    let cold = fan_out(
         kernel.as_ref(),
         Impl::Scalar,
-        Width::W128,
         &cfgs,
         Scale::quick(),
         42,
@@ -588,10 +549,9 @@ fn store_backed_recording_is_chunk_resident_and_bit_identical() {
 
     // Warm-store replay: zero functional executions (all hits), same
     // bits as the storeless in-memory flow.
-    let warm = swan_core::measure_multi_with(
+    let warm = fan_out(
         kernel.as_ref(),
         Impl::Scalar,
-        Width::W128,
         &cfgs,
         Scale::quick(),
         42,
@@ -599,13 +559,13 @@ fn store_backed_recording_is_chunk_resident_and_bit_identical() {
     );
     let stats = store.stats();
     assert_eq!((stats.hits, stats.misses), (1, 1));
-    let memory = swan_core::measure_multi(
+    let memory = fan_out(
         kernel.as_ref(),
         Impl::Scalar,
-        Width::W128,
         &cfgs,
         Scale::quick(),
         42,
+        None,
     );
     for ((c, w), m) in cold.iter().zip(&warm).zip(&memory) {
         assert_eq!(c.sim, w.sim, "cold == warm");

@@ -13,7 +13,7 @@
 use std::fs;
 use std::path::PathBuf;
 use swan::prelude::*;
-use swan_core::{execute_plan_with, plan, Measurement, TraceStore};
+use swan_core::{plan, Measurement, Scenario, TraceStore};
 
 const SEED: u64 = 7;
 
@@ -32,6 +32,19 @@ fn entry_paths(store: &TraceStore) -> Vec<PathBuf> {
         .collect();
     out.sort();
     out
+}
+
+/// Execute `matrix` serially against `store`.
+fn execute_with(
+    kernels: &[Box<dyn Kernel>],
+    matrix: &[Scenario],
+    store: &TraceStore,
+) -> Vec<Measurement> {
+    let campaign = Campaign {
+        store: Some(store),
+        ..Campaign::default()
+    };
+    campaign.execute(kernels, matrix, |_| {}).complete()
 }
 
 fn assert_bit_identical(a: &[Measurement], b: &[Measurement], what: &str) {
@@ -55,7 +68,7 @@ fn corruption_scenario(tag: &str, corrupt: impl Fn(&PathBuf)) {
         .chunk_budget(512);
     let matrix = plan(&kernels, Scale::test(), SEED);
 
-    let cold = execute_plan_with(&kernels, &matrix, 1, Some(&store), |_| {});
+    let cold = execute_with(&kernels, &matrix, &store);
     let populated = store.stats();
     assert!(populated.inserts > 0, "cold run must populate the store");
     let entries = entry_paths(&store);
@@ -65,7 +78,7 @@ fn corruption_scenario(tag: &str, corrupt: impl Fn(&PathBuf)) {
         corrupt(path);
     }
 
-    let recovered = execute_plan_with(&kernels, &matrix, 1, Some(&store), |_| {});
+    let recovered = execute_with(&kernels, &matrix, &store);
     let after = store.stats();
     assert_eq!(
         after.corrupt_replaced,
@@ -85,7 +98,7 @@ fn corruption_scenario(tag: &str, corrupt: impl Fn(&PathBuf)) {
 
     // The replacements are healthy: a third run is all hits and still
     // bit-identical.
-    let warm = execute_plan_with(&kernels, &matrix, 1, Some(&store), |_| {});
+    let warm = execute_with(&kernels, &matrix, &store);
     let healed = store.stats();
     assert_eq!(
         healed.corrupt_replaced, after.corrupt_replaced,
