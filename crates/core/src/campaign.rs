@@ -38,7 +38,9 @@ use swan_uarch::{CoreConfig, CoreId};
 /// assignment is dynamic but the output order is deterministic.
 /// `work` must not panic (wrap fallible work in `catch_unwind`); a
 /// panicking closure would poison the slot mutex and abort the scope.
-fn shard_indexed<T: Send>(
+/// The one worker pool of the crate: campaign groups and the Figure 6
+/// sweep points both run on it.
+pub(crate) fn shard_indexed<T: Send>(
     n: usize,
     workers: usize,
     work: impl Fn(usize) -> T + Send + Sync,
@@ -243,11 +245,8 @@ impl CampaignRun {
     pub fn complete(self) -> Vec<Measurement> {
         assert!(
             self.failures.is_empty(),
-            "campaign groups panicked: {:?}",
-            self.failures
-                .iter()
-                .map(|f| format!("{}: {}", f.id, f.message))
-                .collect::<Vec<_>>()
+            "{}",
+            failure_summary("campaign groups", &self.failures)
         );
         self.measurements
             .into_iter()
@@ -357,20 +356,33 @@ pub(crate) fn drive_groups<T: Send>(
             let mut rec = record_group(kernel, sc.imp, sc.width, sc.scale, sc.seed, store);
             body(&mut rec, group)
         }))
-        .map_err(|p| {
-            let message = if let Some(s) = p.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = p.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            KernelFailure {
-                id: sc.kernel_id.clone(),
-                message: format!("{}: {message}", sc.stream_id()),
-            }
+        .map_err(|p| KernelFailure {
+            id: sc.kernel_id.clone(),
+            message: format!("{}: {}", sc.stream_id(), panic_message(&*p)),
         })
     })
+}
+
+/// The text of a caught panic payload.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// The panic message of a form that promises a complete result
+/// ([`CampaignRun::complete`], [`crate::report::fig6`]) but got
+/// `failures`: one entry per failure, naming it.
+pub(crate) fn failure_summary(what: &str, failures: &[KernelFailure]) -> String {
+    let named: Vec<String> = failures
+        .iter()
+        .map(|f| format!("{}: {}", f.id, f.message))
+        .collect();
+    format!("{what} panicked: {named:?}")
 }
 
 // =====================================================================

@@ -7,6 +7,7 @@
 //! format the same rows and series the paper reports. All generators also emit CSV via
 //! their `Display` counterparts' `csv()` methods where applicable.
 
+use crate::campaign::{failure_summary, panic_message, shard_indexed, KernelFailure};
 use crate::kernel::{
     AutoObstacle, AutoOutcome, Impl, Kernel, KernelMeta, Library, Pattern, Scale, VsNeon,
 };
@@ -14,6 +15,7 @@ use crate::runner::{measure, Measurement};
 use crate::stats::{geomean, mean};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use swan_accel::{DspModel, GpuModel};
 use swan_simd::trace::Op;
 use swan_simd::Width;
@@ -789,29 +791,73 @@ pub struct Fig6Point {
 }
 
 /// Figure 6: Neon vs GPU execution time for GEMM and SpMM across the
-/// convolutional layer sweep. `gemm`/`spmm` are closures producing a
-/// shape-pinned kernel (wired to `swan-kernels` by the caller to avoid
-/// a dependency cycle); `layers` is subsampled to `points`.
+/// convolutional layer sweep — [`fig6_threads`] on the calling thread.
+///
+/// # Panics
+///
+/// Panics naming every sweep point whose measurement panicked.
 pub fn fig6(
     layers: &[(usize, usize, usize)],
     points: usize,
-    gemm: impl Fn(usize, usize, usize) -> Box<dyn Kernel>,
-    spmm: impl Fn(usize, usize, usize) -> Box<dyn Kernel>,
-    mut progress: impl FnMut(&str),
+    gemm: impl Fn(usize, usize, usize) -> Box<dyn Kernel> + Sync,
+    spmm: impl Fn(usize, usize, usize) -> Box<dyn Kernel> + Sync,
+    progress: impl Fn(&str) + Sync,
 ) -> (Vec<Fig6Point>, Vec<Fig6Point>, Report) {
+    fig6_threads(1, layers, points, gemm, spmm, progress)
+        .unwrap_or_else(|f| panic!("{}", failure_summary("figure 6 points", &f)))
+}
+
+/// Figure 6: Neon vs GPU execution time for GEMM and SpMM across the
+/// convolutional layer sweep. `gemm`/`spmm` are closures producing a
+/// shape-pinned kernel (wired to `swan-kernels` by the caller to avoid
+/// a dependency cycle); `layers` is subsampled to `points`.
+///
+/// The sweep points (one GEMM and one SpMM per sampled layer) are
+/// measured on up to `threads` workers of the campaign pool, dispatched
+/// longest first — by `m·k·n`, GEMM before SpMM on the same shape — so
+/// the largest layer starts at once instead of ending the sweep alone.
+/// Results land back in sweep order: the points and the report are
+/// identical for every thread count. A point whose measurement panics
+/// becomes one [`KernelFailure`] naming its kernel and shape, and the
+/// sweep returns every such failure instead of a figure.
+pub fn fig6_threads(
+    threads: usize,
+    layers: &[(usize, usize, usize)],
+    points: usize,
+    gemm: impl Fn(usize, usize, usize) -> Box<dyn Kernel> + Sync,
+    spmm: impl Fn(usize, usize, usize) -> Box<dyn Kernel> + Sync,
+    progress: impl Fn(&str) + Sync,
+) -> Result<(Vec<Fig6Point>, Vec<Fig6Point>, Report), Vec<KernelFailure>> {
     let gpu = GpuModel::default();
     let prime = CoreConfig::prime();
     let step = (layers.len() / points).max(1);
-    let mut gemm_pts = Vec::new();
-    let mut spmm_pts = Vec::new();
-    for (i, &(m, k, n)) in layers.iter().enumerate().step_by(step) {
-        progress(&format!("fig6 layer {i}: {m}x{k}x{n}"));
-        for (is_spmm, pts) in [(false, &mut gemm_pts), (true, &mut spmm_pts)] {
+    // Sweep order: every sampled layer's GEMM point, then its SpMM
+    // point, as (layer index, is_spmm, shape).
+    let sweep: Vec<(usize, bool, (usize, usize, usize))> = layers
+        .iter()
+        .copied()
+        .enumerate()
+        .step_by(step)
+        .flat_map(|(i, shape)| [(i, false, shape), (i, true, shape)])
+        .collect();
+    let mut order: Vec<usize> = (0..sweep.len()).collect();
+    order.sort_by_key(|&p| {
+        let (_, is_spmm, (m, k, n)) = sweep[p];
+        (std::cmp::Reverse(m * k * n), is_spmm)
+    });
+    let measured = shard_indexed(order.len(), threads, |j| {
+        let (i, is_spmm, (m, k, n)) = sweep[order[j]];
+        let kind = if is_spmm { "SpMM" } else { "GEMM" };
+        progress(&format!("fig6 layer {i}: {kind} {m}x{k}x{n}"));
+        // Named by the kind until the kernel exists to name itself.
+        let mut id = kind.to_string();
+        catch_unwind(AssertUnwindSafe(|| {
             let kernel = if is_spmm {
                 spmm(m, k, n)
             } else {
                 gemm(m, k, n)
             };
+            id = kernel.meta().id();
             let meas = measure(
                 kernel.as_ref(),
                 Impl::Neon,
@@ -826,12 +872,32 @@ pub fn fig6(
             } else {
                 gpu.gemm_time(ops)
             };
-            pts.push(Fig6Point {
+            Fig6Point {
                 macs: ops,
                 neon_s: meas.seconds(),
                 gpu_s: gpu_s.seconds().unwrap(),
-            });
+            }
+        }))
+        .map_err(|p| KernelFailure {
+            message: format!("{id} {m}x{k}x{n}: {}", panic_message(&*p)),
+            id,
+        })
+    });
+    let mut in_sweep: Vec<(usize, Result<Fig6Point, KernelFailure>)> =
+        order.into_iter().zip(measured).collect();
+    in_sweep.sort_by_key(|&(p, _)| p);
+    let mut gemm_pts = Vec::new();
+    let mut spmm_pts = Vec::new();
+    let mut failures = Vec::new();
+    for (p, r) in in_sweep {
+        match r {
+            Ok(pt) if sweep[p].1 => spmm_pts.push(pt),
+            Ok(pt) => gemm_pts.push(pt),
+            Err(f) => failures.push(f),
         }
+    }
+    if !failures.is_empty() {
+        return Err(failures);
     }
     let header: Vec<String> = ["Kind", "MACs", "Neon (ms)", "GPU (ms)", "Winner"]
         .iter()
@@ -864,7 +930,7 @@ pub fn fig6(
         header,
         rows,
     );
-    (gemm_pts, spmm_pts, report)
+    Ok((gemm_pts, spmm_pts, report))
 }
 
 // =====================================================================

@@ -8,8 +8,9 @@
 //! into every simulated core (§4.3).
 //!
 //! [`RecordSink`] is a [`TraceSink`] that encodes the live stream into
-//! a compact binary buffer; [`EncodedTrace::replay_into`] drives any
-//! sink back out with the *bit-identical* sequence of
+//! a compact binary form, held in memory as a list of fixed-budget
+//! chunks split at record boundaries; [`EncodedTrace::replay_into`]
+//! drives any sink back out with the *bit-identical* sequence of
 //! [`TraceSink::on_instr`] / [`TraceSink::on_overhead`] calls. The
 //! encoding exploits the stream's structure:
 //!
@@ -582,10 +583,15 @@ impl BatchFill {
 }
 
 /// A finished recording: the compact binary form of one dynamic
-/// instruction stream, replayable any number of times.
+/// instruction stream, replayable any number of times. The bytes are
+/// held as a list of chunks of about [`DEFAULT_CHUNK_BUDGET`] bytes,
+/// split at record boundaries exactly as [`SpillSink`] splits its
+/// spilled chunks, so a long recording never needs one contiguous
+/// buffer (or the copies of growing one). The prediction state runs
+/// on across chunk edges: the chunking is invisible to every replay.
 #[derive(Clone, Debug, Default)]
 pub struct EncodedTrace {
-    bytes: Vec<u8>,
+    chunks: Vec<Vec<u8>>,
     instrs: u64,
     records: u64,
 }
@@ -593,7 +599,7 @@ pub struct EncodedTrace {
 impl EncodedTrace {
     /// Size of the encoded buffer in bytes.
     pub fn encoded_bytes(&self) -> usize {
-        self.bytes.len()
+        self.chunk_lens().sum()
     }
 
     /// Total dynamic instructions in the stream (overhead runs counted
@@ -605,6 +611,13 @@ impl EncodedTrace {
     /// Encoded records (an overhead run of any length is one record).
     pub fn record_count(&self) -> u64 {
         self.records
+    }
+
+    /// Byte length of each in-memory chunk, in stream order. Every
+    /// chunk but the last reached the recorder's budget, and none
+    /// exceeds it by more than the one record that crossed it.
+    pub fn chunk_lens(&self) -> impl Iterator<Item = usize> + '_ {
+        self.chunks.iter().map(Vec::len)
     }
 
     /// What materializing this stream as a `Vec<TraceInstr>` would
@@ -619,10 +632,12 @@ impl EncodedTrace {
     /// addresses included) and the same [`TraceSink::on_overhead`]
     /// runs, in the same order.
     pub fn replay_into(&self, sink: &mut dyn TraceSink) {
-        let mut pos = 0usize;
         let mut pred = Pred::new();
-        while pos < self.bytes.len() {
-            decode_record(&self.bytes, &mut pos, &mut pred, sink);
+        for chunk in &self.chunks {
+            let mut pos = 0usize;
+            while pos < chunk.len() {
+                decode_record(chunk, &mut pos, &mut pred, sink);
+            }
         }
     }
 
@@ -638,17 +653,37 @@ impl EncodedTrace {
 
     /// [`EncodedTrace::replay_batches`] with an explicit per-batch
     /// instruction capacity (tests use tiny capacities to exercise
-    /// batch boundaries).
+    /// batch boundaries). One decoder state walks every chunk, so
+    /// batches (and overhead runs) span chunk edges freely and only
+    /// the final batch may be partial.
     pub fn replay_batches_with(&self, cap: usize, mut consume: impl FnMut(&[TraceInstr])) {
         let mut fill = BatchFill::new();
         let mut batch = DecodedBatch::with_capacity(cap);
+        let mut chunks = self.chunks.iter();
+        let mut chunk: &[u8] = &[];
         let mut pos = 0usize;
         loop {
             batch.clear();
             let t0 = prof_now();
-            let pos0 = pos;
-            fill.fill(&self.bytes, &mut pos, &mut batch);
-            prof_decode(t0, batch.instrs().len() as u64, (pos - pos0) as u64);
+            let mut bytes = 0usize;
+            loop {
+                let pos0 = pos;
+                fill.fill(chunk, &mut pos, &mut batch);
+                bytes += pos - pos0;
+                if batch.is_full() {
+                    break;
+                }
+                // The chunk is exhausted and any pending run expanded:
+                // keep filling from the next chunk.
+                match chunks.next() {
+                    Some(next) => {
+                        chunk = next;
+                        pos = 0;
+                    }
+                    None => break,
+                }
+            }
+            prof_decode(t0, batch.instrs().len() as u64, bytes as u64);
             if batch.is_empty() {
                 return;
             }
@@ -671,12 +706,27 @@ impl EncodedTrace {
     }
 }
 
+/// Longest record the encoder can emit: three tag bytes, an explicit
+/// 32-bit id, four 64-bit source deltas, a 64-bit address delta and a
+/// 32-bit access size, all as varints. A fresh chunk reserves the
+/// budget plus this much, so the record that crosses the budget never
+/// reallocates it.
+const MAX_RECORD_BYTES: usize = 3 + 5 + 4 * 10 + 10 + 5;
+
 /// A [`TraceSink`] that encodes the stream it receives. Install it
 /// under a trace session (or tee into it from another sink), then call
 /// [`RecordSink::finish`] to obtain the replayable [`EncodedTrace`].
+///
+/// The encoding accumulates in fixed-budget chunks (see
+/// [`EncodedTrace`]): a chunk is sealed at the first record boundary
+/// at or past the budget and a new one started, so a recording grows
+/// by one budget-sized allocation at a time and never copies what it
+/// already holds.
 #[derive(Debug)]
 pub struct RecordSink {
+    chunks: Vec<Vec<u8>>,
     buf: Vec<u8>,
+    budget: usize,
     instrs: u64,
     records: u64,
     pred: Pred,
@@ -689,10 +739,20 @@ impl Default for RecordSink {
 }
 
 impl RecordSink {
-    /// An empty recording.
+    /// An empty recording with [`DEFAULT_CHUNK_BUDGET`]-byte chunks.
     pub fn new() -> RecordSink {
+        RecordSink::with_chunk_budget(DEFAULT_CHUNK_BUDGET)
+    }
+
+    /// An empty recording that seals its in-memory chunks at `budget`
+    /// bytes (clamped to `1..=`[`MAX_CHUNK_BYTES`]). The chunking never
+    /// changes the encoded bytes or any replay; tests use tiny budgets
+    /// to put many chunk edges into short streams.
+    pub fn with_chunk_budget(budget: usize) -> RecordSink {
         RecordSink {
+            chunks: Vec::new(),
             buf: Vec::new(),
+            budget: budget.clamp(1, MAX_CHUNK_BYTES),
             instrs: 0,
             records: 0,
             pred: Pred::new(),
@@ -701,19 +761,37 @@ impl RecordSink {
 
     /// Bytes encoded so far.
     pub fn encoded_bytes(&self) -> usize {
-        self.buf.len()
+        self.chunks.iter().map(Vec::len).sum::<usize>() + self.buf.len()
+    }
+
+    /// Move the open chunk, trimmed to its length, onto the list.
+    fn seal(&mut self) {
+        let mut full = std::mem::take(&mut self.buf);
+        full.shrink_to_fit();
+        self.chunks.push(full);
+    }
+
+    fn after_record(&mut self) {
+        if self.buf.len() >= self.budget {
+            self.seal();
+            self.buf.reserve_exact(self.budget + MAX_RECORD_BYTES);
+        }
     }
 
     /// Seal the recording. Updates the process-wide
     /// [`recorded_totals`] counters.
-    pub fn finish(self) -> EncodedTrace {
-        RECORDED_BYTES.fetch_add(self.buf.len() as u64, Ordering::Relaxed);
-        RECORDED_INSTRS.fetch_add(self.instrs, Ordering::Relaxed);
-        EncodedTrace {
-            bytes: self.buf,
+    pub fn finish(mut self) -> EncodedTrace {
+        if !self.buf.is_empty() {
+            self.seal();
+        }
+        let enc = EncodedTrace {
+            chunks: self.chunks,
             instrs: self.instrs,
             records: self.records,
-        }
+        };
+        RECORDED_BYTES.fetch_add(enc.encoded_bytes() as u64, Ordering::Relaxed);
+        RECORDED_INSTRS.fetch_add(enc.instrs, Ordering::Relaxed);
+        enc
     }
 }
 
@@ -722,12 +800,14 @@ impl TraceSink for RecordSink {
         encode_instr(&mut self.buf, &mut self.pred, ins);
         self.instrs += 1;
         self.records += 1;
+        self.after_record();
     }
 
     fn on_overhead(&mut self, op: Op, class: Class, first_id: u32, n: u64) {
         encode_overhead(&mut self.buf, &mut self.pred, op, class, first_id, n);
         self.instrs += n;
         self.records += 1;
+        self.after_record();
     }
 }
 

@@ -5,7 +5,9 @@
 //! and maximal address deltas. The chunked container must decode
 //! bit-identically to the unsegmented encoding at *any* chunk budget
 //! (down to one record per chunk), and its digests must catch any
-//! single-byte mutation.
+//! single-byte mutation. In-memory recordings are chunked the same
+//! way, and must replay identically through every path at any chunk
+//! budget, with prediction state carried across every chunk edge.
 
 use proptest::prelude::*;
 use swan_simd::trace::replay_chunked_batches_with;
@@ -128,8 +130,154 @@ fn event_from(seed: u64, addr_seed: u64, id: u32) -> (Event, u32) {
     (Event::Instr(ins), next_value_id(dst))
 }
 
+/// Events from raw draws with every overhead run cut below `max_run`
+/// instructions: the sink path expands runs one call per instruction,
+/// so they must stay short enough to materialize.
+fn short_run_events(seeds: &[u64], addr_seeds: &[u64], max_run: u64) -> Vec<Event> {
+    let mut id = 1u32;
+    let mut events = Vec::with_capacity(seeds.len());
+    for (s, a) in seeds.iter().zip(addr_seeds) {
+        let (e, next) = event_from(*s, *a, id);
+        if let Event::Overhead(op, class, first, n) = e {
+            let n = n % max_run;
+            let next = if first == 0 {
+                id
+            } else {
+                advance_value_id(first, n)
+            };
+            events.push(Event::Overhead(op, class, first, n));
+            id = next;
+        } else {
+            events.push(e);
+            id = next;
+        }
+    }
+    events
+}
+
+/// Longest record the encoder emits: three tag bytes, a 32-bit id,
+/// four 64-bit source deltas, a 64-bit address delta and a 32-bit
+/// access size, all as varints.
+const MAX_RECORD_BYTES: usize = 3 + 5 + 4 * 10 + 10 + 5;
+
+/// Record `events` into in-memory chunks of `budget` bytes and check
+/// every replay of the result against the live stream: the sink path,
+/// the batch path at tiny arena sizes, and the container round trip.
+/// Also checks the chunk shapes: each chunk but the last reached the
+/// budget, and none passed it by more than the record that crossed it.
+fn check_chunked_recording(events: &[Event], budget: usize) -> EncodedTrace {
+    let mut rec = RecordSink::with_chunk_budget(budget);
+    feed(events, &mut rec);
+    let enc = rec.finish();
+
+    let lens: Vec<usize> = enc.chunk_lens().collect();
+    assert!(
+        lens.iter().all(|&l| l > 0 && l < budget + MAX_RECORD_BYTES),
+        "{lens:?}"
+    );
+    if let Some((_, sealed)) = lens.split_last() {
+        assert!(
+            sealed.iter().all(|&l| l >= budget),
+            "{lens:?} at budget {budget}"
+        );
+    }
+
+    let mut log = EventLog::default();
+    enc.replay_into(&mut log);
+    assert_eq!(&log.0, events, "sink replay across chunk edges");
+
+    let mut expanded = swan_simd::VecSink::default();
+    feed(events, &mut expanded);
+    for cap in [1usize, 2, 7, 8192] {
+        let mut collected = Vec::new();
+        let mut largest = 0usize;
+        enc.replay_batches_with(cap, |b| {
+            largest = largest.max(b.len());
+            collected.extend_from_slice(b);
+        });
+        assert!(largest <= cap);
+        assert_eq!(collected, expanded.instrs, "batch replay at capacity {cap}");
+    }
+
+    let (summary, bytes) = enc
+        .write_chunked(budget, Vec::new())
+        .expect("Vec writer cannot fail");
+    let mut from_container = EventLog::default();
+    let decoded = replay_chunked(&bytes[..], &mut from_container).expect("well-formed stream");
+    assert_eq!(&from_container.0, events, "container replay");
+    assert_eq!(decoded, summary);
+    assert_eq!(summary.payload_bytes, enc.encoded_bytes() as u64);
+    assert_eq!(summary.records, enc.record_count());
+    assert_eq!(summary.instrs, enc.instr_count());
+    enc
+}
+
+/// The encoded bytes of a recording, whatever its in-memory chunking:
+/// its container form at one fixed budget.
+fn container_bytes(enc: &EncodedTrace) -> Vec<u8> {
+    enc.write_chunked(1 << 20, Vec::new())
+        .expect("Vec writer cannot fail")
+        .1
+}
+
+/// An overhead run that ends exactly on a chunk edge, longer than one
+/// batch, followed by records whose ids and addresses are predicted
+/// from state carried over the edge.
+#[test]
+fn overhead_run_sealing_a_chunk_carries_prediction_over_the_edge() {
+    let load = |dst: u32, addr: u64| {
+        Event::Instr(TraceInstr {
+            op: Op::SLoad,
+            class: Class::SInt,
+            dst,
+            srcs: [dst - 1, 0, 0, 0],
+            nsrc: 1,
+            mem: Some(swan_simd::trace::MemRef { addr, bytes: 8 }),
+        })
+    };
+    let run = 100u64;
+    let mut events = vec![load(1, 0x1000), load(2, 0x1008)];
+    events.push(Event::Overhead(Op::SAlu, Class::SInt, 3, run));
+    let after = advance_value_id(3, run);
+    for i in 0..5u32 {
+        events.push(load(after + i, 0x1010 + 8 * i as u64));
+    }
+    // The budget is the encoded size up to and including the run, so
+    // the run's record is the one that seals the first chunk.
+    let mut prefix = RecordSink::new();
+    feed(&events[..3], &mut prefix);
+    let budget = prefix.encoded_bytes();
+
+    let enc = check_chunked_recording(&events, budget);
+    let lens: Vec<usize> = enc.chunk_lens().collect();
+    assert_eq!(lens[0], budget, "the run ends exactly on the chunk edge");
+    assert!(lens.len() >= 2, "{lens:?}");
+    let unchunked = check_chunked_recording(&events, 1 << 16);
+    assert_eq!(container_bytes(&enc), container_bytes(&unchunked));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// In-memory chunking is invisible: for arbitrary streams at
+    /// budgets from one record per chunk upward, every replay equals
+    /// the live stream and the encoded bytes equal those of the
+    /// default single-budget recording.
+    #[test]
+    fn chunked_in_memory_recordings_replay_identically(
+        seeds in proptest::collection::vec(any::<u64>(), 0..150),
+        addr_seeds in proptest::collection::vec(any::<u64>(), 150),
+        budget_seed in 0usize..5,
+    ) {
+        let budget = [1usize, 3, 16, 61, 1 << 16][budget_seed];
+        let events = short_run_events(&seeds, &addr_seeds, 40);
+        let enc = check_chunked_recording(&events, budget);
+        if budget == 1 {
+            prop_assert_eq!(enc.chunk_lens().count() as u64, enc.record_count());
+        }
+        let (reference, _) = roundtrip(&events);
+        prop_assert_eq!(container_bytes(&enc), container_bytes(&reference));
+    }
 
     #[test]
     fn arbitrary_sequences_roundtrip_bit_identically(
@@ -304,22 +452,7 @@ proptest! {
     ) {
         let budget = [1usize, 7, 300, 1 << 16][budget_seed];
         let cap = [1usize, 33, 8192][cap_seed];
-        let mut id = 1u32;
-        let mut events = Vec::with_capacity(seeds.len());
-        for (s, a) in seeds.iter().zip(&addr_seeds) {
-            let (e, next) = event_from(*s, *a, id);
-            // The sink path expands overhead runs one call per
-            // instruction; keep runs short enough to materialize.
-            if let Event::Overhead(op, class, first, n) = e {
-                let n = n % 5000;
-                let next = if first == 0 { id } else { advance_value_id(first, n) };
-                events.push(Event::Overhead(op, class, first, n));
-                id = next;
-            } else {
-                events.push(e);
-                id = next;
-            }
-        }
+        let events = short_run_events(&seeds, &addr_seeds, 5000);
         let mut spill = SpillSink::new(Vec::new(), budget);
         feed(&events, &mut spill);
         let (summary, bytes) = spill.finish().expect("Vec writer cannot fail");

@@ -24,8 +24,10 @@
 //! is the report scale (0.4 of paper-size inputs, preserving the
 //! cache-pressure regimes); `--quick` runs a much smaller scale for a
 //! fast smoke pass. `--threads N` shards the measurement campaign
-//! across N worker threads at scenario-group granularity (`0` or
-//! omitted: auto-detect the core count).
+//! across N worker threads at scenario-group granularity, and then
+//! the Figure 6 sweep across the same N workers one GEMM/SpMM point
+//! at a time, largest first (`0` or omitted: auto-detect the core
+//! count). The output is byte-identical for every N.
 //!
 //! Every campaign — full reports, subsets, goldens — goes through the
 //! same plan → execute → aggregate pipeline. `--list-scenarios`
@@ -803,14 +805,21 @@ fn main() {
         let layers: Vec<(usize, usize, usize)> =
             conv_layers().iter().map(|s| (s.m, s.k, s.n)).collect();
         let t0 = std::time::Instant::now();
-        let (_, _, rep) = report::fig6(
+        // Runs after every suite table is printed: the sweep's points
+        // share the --threads workers, never the suite's time to its
+        // first table.
+        let fig6 = report::fig6_threads(
+            threads,
             &layers,
             13,
             |m, k, n| Box::new(GemmF32::with_shape(Shape { m, k, n })),
             |m, k, n| Box::new(SpmmF32::with_shape(Shape { m, k, n })),
             |msg| eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32()),
         );
-        println!("{rep}");
+        match fig6 {
+            Ok((_, _, rep)) => println!("{rep}"),
+            Err(failures) => exit_on_failures(&failures),
+        }
     }
 
     emit_profile("report suite");
