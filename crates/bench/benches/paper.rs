@@ -9,11 +9,11 @@ use swan_bench::{find, measure_point, REPRESENTATIVES};
 use swan_core::profile;
 use swan_core::report;
 use swan_core::{
-    aggregate, capture, measure_recorded, plan, record, record_group, simulate_trace, Campaign,
+    aggregate, measure, measure_recorded, plan, record, record_group, Campaign, GroupRecording,
     Impl, Kernel, Measurement, Scale, TraceStore,
 };
 use swan_simd::trace::stream_into;
-use swan_simd::Width;
+use swan_simd::{VecSink, Width};
 use swan_uarch::{CoreConfig, EnergyModel, MultiCore};
 
 const SCALE: Scale = Scale(1.0 / 96.0);
@@ -30,7 +30,19 @@ fn measure_group(
     measure_recorded(&mut rec, cfgs, 1.0)
 }
 
-/// Figure 1: instruction-mix histograms (pure trace capture, both
+/// A kernel's in-memory recording at the bench scale, for benches that
+/// time the replay side alone.
+fn recording(k: &dyn Kernel, imp: Impl) -> GroupRecording {
+    record_group(k, imp, Width::W128, SCALE, 42, None)
+}
+
+/// Replay a recording warm + timed on one core and attach energy.
+fn measure_one(rec: &mut GroupRecording, cfg: &CoreConfig) -> Measurement {
+    let mut ms = measure_recorded(rec, std::slice::from_ref(cfg), 1.0);
+    ms.pop().expect("one config in, one measurement out")
+}
+
+/// Figure 1: instruction-mix histograms (pure trace recording, both
 /// implementations, per representative kernel).
 fn fig1_instruction_mix(c: &mut Criterion) {
     let kernels = swan_kernels::all_kernels();
@@ -44,8 +56,8 @@ fn fig1_instruction_mix(c: &mut Criterion) {
         let k = find(&kernels, lib, name);
         g.bench_function(format!("{lib}.{name}"), |b| {
             b.iter(|| {
-                let (s, _) = capture(k, Impl::Scalar, Width::W128, SCALE, 42);
-                let (v, _) = capture(k, Impl::Neon, Width::W128, SCALE, 42);
+                let (s, _, _) = record(k, Impl::Scalar, Width::W128, SCALE, 42);
+                let (v, _, _) = record(k, Impl::Neon, Width::W128, SCALE, 42);
                 black_box(s.total() as f64 / v.total() as f64)
             })
         });
@@ -73,14 +85,15 @@ fn fig2_speedup(c: &mut Criterion) {
     g.finish();
 }
 
-/// Figure 3: power computation from a fixed trace (energy model only).
+/// Figure 3: power computation from a fixed recording (replay and
+/// energy model).
 fn fig3_power(c: &mut Criterion) {
     let kernels = swan_kernels::all_kernels();
     let prime = CoreConfig::prime();
     let k = find(&kernels, "LJ", "rgb_to_ycbcr");
-    let (tr, ops) = capture(k, Impl::Neon, Width::W128, SCALE, 42);
+    let mut rec = recording(k, Impl::Neon);
     c.bench_function("fig3_power/energy_model", |b| {
-        b.iter(|| black_box(simulate_trace(&tr, &prime, 1.0, ops).power_w))
+        b.iter(|| black_box(measure_one(&mut rec, &prime).power_w))
     });
 }
 
@@ -106,15 +119,15 @@ fn fig4_cores(c: &mut Criterion) {
         CoreConfig::prime(),
     ];
     let k = find(&kernels, "ZL", "adler32");
-    let (str_, ops) = capture(k, Impl::Scalar, Width::W128, SCALE, 42);
-    let (vtr, _) = capture(k, Impl::Neon, Width::W128, SCALE, 42);
+    let mut scalar = recording(k, Impl::Scalar);
+    let mut neon = recording(k, Impl::Neon);
     let mut g = c.benchmark_group("fig4_cores");
     g.sample_size(10);
     for cfg in cores {
         g.bench_function(&cfg.name, |b| {
             b.iter(|| {
-                let s = simulate_trace(&str_, &cfg, 1.0, ops);
-                let v = simulate_trace(&vtr, &cfg, 1.0, ops);
+                let s = measure_one(&mut scalar, &cfg);
+                let v = measure_one(&mut neon, &cfg);
                 black_box(s.seconds() / v.seconds())
             })
         });
@@ -141,12 +154,12 @@ fn fig5a_width(c: &mut Criterion) {
 fn fig5b_units(c: &mut Criterion) {
     let kernels = swan_kernels::all_kernels();
     let k = find(&kernels, "XP", "gemm_f32");
-    let (tr, ops) = capture(k, Impl::Neon, Width::W128, SCALE, 42);
+    let mut rec = recording(k, Impl::Neon);
     let mut g = c.benchmark_group("fig5b_units");
     g.sample_size(10);
     for cfg in CoreConfig::fig5b_sweep() {
         g.bench_function(&cfg.name, |b| {
-            b.iter(|| black_box(simulate_trace(&tr, &cfg, 1.0, ops).sim.cycles))
+            b.iter(|| black_box(measure_one(&mut rec, &cfg).sim.cycles))
         });
     }
     g.finish();
@@ -161,7 +174,7 @@ fn tab6_strides(c: &mut Criterion) {
         let k = find(&kernels, lib, name);
         g.bench_function(format!("{lib}.{name}"), |b| {
             b.iter(|| {
-                let (tr, _) = capture(k, Impl::Neon, Width::W128, SCALE, 42);
+                let (tr, _, _) = record(k, Impl::Neon, Width::W128, SCALE, 42);
                 black_box(
                     tr.op_count(swan_simd::Op::VLd3)
                         + tr.op_count(swan_simd::Op::VLd4)
@@ -179,10 +192,11 @@ fn tab7_offload(c: &mut Criterion) {
     let prime = CoreConfig::prime();
     let gpu = swan_accel::GpuModel::default();
     let k = find(&kernels, "WA", "audible");
-    let (tr, ops) = capture(k, Impl::Neon, Width::W128, SCALE, 42);
+    let mut rec = recording(k, Impl::Neon);
+    let ops = rec.work_ops;
     c.bench_function("tab7_offload/decision", |b| {
         b.iter(|| {
-            let neon = simulate_trace(&tr, &prime, 1.0, ops).seconds();
+            let neon = measure_one(&mut rec, &prime).seconds();
             black_box(swan_accel::decide(neon, gpu.gemm_time(ops)))
         })
     });
@@ -199,48 +213,11 @@ fn fig6_gpu(c: &mut Criterion) {
         let kernel = GemmF32::with_shape(Shape { m, k, n });
         g.bench_function(format!("gemm_{m}x{k}x{n}"), |b| {
             b.iter(|| {
-                let (tr, macs) = capture(&kernel, Impl::Neon, Width::W128, Scale(1.0), 7);
-                let neon = simulate_trace(&tr, &prime, 1.0, macs).seconds();
-                black_box((neon, gpu.gemm_time(macs)))
+                let m = measure(&kernel, Impl::Neon, Width::W128, &prime, Scale(1.0), 7);
+                black_box((m.seconds(), gpu.gemm_time(m.work_ops)))
             })
         });
     }
-    g.finish();
-}
-
-/// Suite campaign, pipeline shape: the record-once executor (one
-/// functional execution, compactly recorded, replayed into all three
-/// cores) vs the batch flow it replaced (capture the full
-/// `Vec<TraceInstr>`, then replay it per core).
-fn campaign_streaming_vs_batch(c: &mut Criterion) {
-    let kernels = swan_kernels::all_kernels();
-    let cfgs = [
-        CoreConfig::prime(),
-        CoreConfig::gold(),
-        CoreConfig::silver(),
-    ];
-    let k = find(&kernels, "LJ", "rgb_to_ycbcr");
-    let mut g = c.benchmark_group("campaign_pipeline");
-    g.sample_size(10);
-    g.bench_function("batch_capture_replay_3cores", |b| {
-        b.iter(|| {
-            let (tr, ops) = capture(k, Impl::Neon, Width::W128, SCALE, 42);
-            let total: u64 = cfgs
-                .iter()
-                .map(|cfg| simulate_trace(&tr, cfg, 1.0, ops).sim.cycles)
-                .sum();
-            black_box(total)
-        })
-    });
-    g.bench_function("streaming_fanout_3cores", |b| {
-        b.iter(|| {
-            let total: u64 = measure_group(k, &cfgs, None)
-                .iter()
-                .map(|m| m.sim.cycles)
-                .sum();
-            black_box(total)
-        })
-    });
     g.finish();
 }
 
@@ -293,18 +270,22 @@ fn campaign_threads(c: &mut Criterion) {
         g.bench_function("reexecute_3cores", |b| {
             b.iter(|| {
                 // The pre-codec flow: two functional executions (warm
-                // pass + timed pass) drive the fan-out sink directly,
-                // followed by the same per-config histogram + energy
-                // attachment measure_recorded performs — so the only
-                // difference between the two points is the recovered
-                // second emulator run.
+                // pass + timed pass), each streamed into memory and
+                // stepped through the fan-out, followed by the same
+                // per-config histogram + energy attachment
+                // measure_recorded performs — so the only difference
+                // between the two points is the second emulator run in
+                // place of the encode and decodes.
                 let mut inst = k.instantiate(SCALE, 42);
                 let mut multi = MultiCore::new(&cfgs);
                 multi.begin_warm();
-                let (_, mut multi, ()) = stream_into(multi, || inst.run(Impl::Neon, Width::W128));
+                let (_, warm, ()) =
+                    stream_into(VecSink::default(), || inst.run(Impl::Neon, Width::W128));
+                multi.warm_batch(&warm.instrs);
                 multi.begin_timed();
-                let (data, mut multi, ()) =
-                    stream_into(multi, || inst.run(Impl::Neon, Width::W128));
+                let (data, timed, ()) =
+                    stream_into(VecSink::default(), || inst.run(Impl::Neon, Width::W128));
+                multi.step_batch(&timed.instrs);
                 let work_ops = inst.work_ops();
                 let sims = multi.finalize();
                 let n = cfgs
@@ -344,13 +325,14 @@ fn campaign_threads(c: &mut Criterion) {
             })
         });
     }
-    // The hot-loop pair the CI throughput gate watches: one recorded
-    // stream replayed through the 3-core fan-out, batch-stepped vs
-    // per-instruction virtual dispatch. Declared element throughput
-    // (model steps per iteration: instrs x 3 cores x 2 passes) makes
-    // BENCH_ci.json carry elems_per_sec for the --bench-gate check.
-    // Placed last in the group because the throughput setting persists
-    // to subsequent benches.
+    // The hot loop the CI throughput gate watches: one recorded stream
+    // replayed through the 3-core fan-out in decoded batches. Declared
+    // element throughput (model steps per iteration: instrs x 3 cores
+    // x 2 passes) makes BENCH_ci.json carry elems_per_sec for the
+    // --bench-gate check. The id keeps the name it had when a
+    // per-instruction twin ran beside it, so the committed baseline
+    // row still matches. Placed last in the group because the
+    // throughput setting persists to subsequent benches.
     {
         let cfgs = [
             CoreConfig::prime(),
@@ -369,16 +351,6 @@ fn campaign_threads(c: &mut Criterion) {
                 enc.replay_batches(|batch| multi.warm_batch(batch));
                 multi.begin_timed();
                 enc.replay_batches(|batch| multi.step_batch(batch));
-                black_box(multi.finalize().len())
-            })
-        });
-        g.bench_function("batch_vs_per_instr_3cores/per_instr", |b| {
-            b.iter(|| {
-                let mut multi = MultiCore::new(&cfgs);
-                multi.begin_warm();
-                enc.replay_into(&mut multi);
-                multi.begin_timed();
-                enc.replay_into(&mut multi);
                 black_box(multi.finalize().len())
             })
         });
@@ -451,7 +423,6 @@ criterion_group!(
     tab6_strides,
     tab7_offload,
     fig6_gpu,
-    campaign_streaming_vs_batch,
     campaign_threads,
     profile_overhead
 );

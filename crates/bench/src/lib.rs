@@ -17,9 +17,8 @@ use swan_uarch::CoreConfig;
 pub use swan_core::perf::{find, REPRESENTATIVES};
 
 /// Trace + simulate one configuration end to end (what one data point
-/// of Figures 2-5 costs). Uses the streaming pipeline: the kernel
-/// executes under a sink driving the core model directly, with no
-/// materialized trace.
+/// of Figures 2-5 costs): [`swan_core::measure`] records the kernel
+/// once and replays the recording warm + timed into the core model.
 pub fn measure_point(
     kernel: &dyn Kernel,
     imp: Impl,
@@ -46,7 +45,7 @@ mod tests {
     }
 
     #[test]
-    fn perf_probe_times_every_phase_and_checks_identity() {
+    fn perf_probe_times_every_phase() {
         let kernels = swan_kernels::all_kernels();
         let rep = swan_core::probe(&kernels, Scale::test(), 42, None);
         assert_eq!(rep.kernels, 12);

@@ -379,6 +379,22 @@ impl Scale {
     }
 }
 
+/// Parses a command-line scale. Only a finite factor above zero is a
+/// scale: infinity overflows [`Scale::dim`], and NaN, zero or a
+/// negative factor would silently run every kernel at its floor size.
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    fn from_str(raw: &str) -> Result<Scale, String> {
+        let v: f64 = raw.parse().map_err(|_| "not a number".to_string())?;
+        if v.is_finite() && v > 0.0 {
+            Ok(Scale(v))
+        } else {
+            Err("the scale must be a finite number greater than 0".to_string())
+        }
+    }
+}
+
 /// A kernel with pre-generated inputs, ready to run under a tracer.
 ///
 /// Input generation happens in [`Kernel::instantiate`], outside any
@@ -461,5 +477,14 @@ mod tests {
         assert_eq!(Scale::paper().dim(720, 16, 8), 720);
         assert!(s.len(128 << 10) >= 1024);
         assert_eq!(s.len(128 << 10) % 128, 0);
+    }
+
+    #[test]
+    fn scale_parses_only_finite_positive_factors() {
+        assert_eq!("0.25".parse::<Scale>(), Ok(Scale(0.25)));
+        assert_eq!("1e-3".parse::<Scale>(), Ok(Scale(1e-3)));
+        for bad in ["inf", "-inf", "nan", "NaN", "0", "-0", "-1", "x", ""] {
+            assert!(bad.parse::<Scale>().is_err(), "{bad} accepted");
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! # swan-core — benchmark harness for the Swan suite
 //!
 //! Defines the [`Kernel`] abstraction the 59 Swan kernels implement,
-//! the streaming measurement [`runner`] that executes a kernel under a
-//! fan-out trace sink driving the `swan-uarch` timing models, the
+//! the measurement [`runner`] that records a kernel's instruction
+//! stream once and replays it into the `swan-uarch` timing models, the
 //! [`campaign`] module that expands the paper's measurement matrix
 //! into a flat [`Scenario`] plan and executes it through one
 //! [`Campaign::execute`] (sharded across threads at scenario-group
@@ -44,8 +44,7 @@ pub use kernel::{
 pub use perf::{find, gate, parse_bench_json, probe, BenchRow, GateOutcome, PerfReport};
 pub use profile::{Phase, PhaseSample, ProfileReport, ProfileScope};
 pub use runner::{
-    capture, measure, measure_recorded, record, record_group, simulate_trace, verify_kernel,
-    GroupRecording, Measurement,
+    measure, measure_recorded, record, record_group, verify_kernel, GroupRecording, Measurement,
 };
 pub use scenario::{filter_plan, Scenario, ScenarioFilter};
 pub use tracestore::{inventory_digest, StoreStats, TraceStore};

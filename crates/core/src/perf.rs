@@ -5,12 +5,9 @@
 //! budget is dominated by the replay hot loop. This module times that
 //! loop against itself: [`probe`] records each representative kernel
 //! once and then drives the recording through every pipeline phase —
-//! decode-only, batch cache warm-up, batch timed simulation, and the
-//! per-instruction virtual-dispatch reference path — reporting
+//! decode-only, cache warm-up and timed simulation — reporting
 //! nanoseconds per instruction for each and **instructions simulated
-//! per second** as the headline metric. The probe asserts the batch
-//! and per-instruction paths produce identical [`SimResult`]s, so
-//! every `--perf` run is also a bit-identity check of the hot loop.
+//! per second** as the headline metric.
 //!
 //! The same module owns the CI throughput gate: [`parse_bench_json`]
 //! reads the machine-readable report the vendored Criterion shim
@@ -23,7 +20,7 @@ use crate::runner::record_group;
 use crate::tracestore::TraceStore;
 use std::time::Instant;
 use swan_simd::Width;
-use swan_uarch::{CoreConfig, MultiCore, SimResult};
+use swan_uarch::{CoreConfig, MultiCore};
 
 /// One representative kernel per library, covering every figure's mix.
 pub const REPRESENTATIVES: [(&str, &str); 12] = [
@@ -75,10 +72,6 @@ pub struct PerfReport {
     pub warm_ns: u128,
     /// Batch-path timed simulation pass across all core models.
     pub timed_ns: u128,
-    /// Per-instruction (virtual-dispatch sink) warm pass.
-    pub per_instr_warm_ns: u128,
-    /// Per-instruction (virtual-dispatch sink) timed pass.
-    pub per_instr_timed_ns: u128,
 }
 
 /// Nanoseconds per unit, as a short human string.
@@ -103,16 +96,6 @@ impl PerfReport {
             return 0.0;
         }
         self.sim_steps() as f64 * 1e9 / self.timed_ns as f64
-    }
-
-    /// Speedup of the batch path over the per-instruction reference
-    /// (warm + timed passes combined).
-    pub fn batch_speedup(&self) -> f64 {
-        let batch = self.warm_ns + self.timed_ns;
-        if batch == 0 {
-            return 0.0;
-        }
-        (self.per_instr_warm_ns + self.per_instr_timed_ns) as f64 / batch as f64
     }
 
     /// Multi-line human-readable breakdown, ending in the headline
@@ -140,20 +123,9 @@ impl PerfReport {
         s.push_str(&row("decode-only replay", self.decode_ns, self.instrs));
         s.push_str(&row("warm batch", self.warm_ns, self.sim_steps()));
         s.push_str(&row("timed batch", self.timed_ns, self.sim_steps()));
-        s.push_str(&row(
-            "warm per-instr",
-            self.per_instr_warm_ns,
-            self.sim_steps(),
-        ));
-        s.push_str(&row(
-            "timed per-instr",
-            self.per_instr_timed_ns,
-            self.sim_steps(),
-        ));
         s.push_str(&format!(
-            "perf: {:.3e} instrs/sec timed batch throughput, batch {:.2}x per-instruction replay\n",
-            self.instrs_per_sec(),
-            self.batch_speedup()
+            "perf: {:.3e} instrs/sec timed batch throughput\n",
+            self.instrs_per_sec()
         ));
         s
     }
@@ -161,9 +133,7 @@ impl PerfReport {
 
 /// Record every representative kernel once (Neon at 128 bits, the
 /// dominant scenario shape) and time each replay-pipeline phase over
-/// the Prime/Gold/Silver fan-out. Panics if the batch path's
-/// [`SimResult`]s differ from the per-instruction reference — the
-/// probe doubles as a hot-loop bit-identity check.
+/// the Prime/Gold/Silver fan-out.
 pub fn probe(
     kernels: &[Box<dyn Kernel>],
     scale: Scale,
@@ -185,8 +155,6 @@ pub fn probe(
         decode_ns: 0,
         warm_ns: 0,
         timed_ns: 0,
-        per_instr_warm_ns: 0,
-        per_instr_timed_ns: 0,
     };
     for (lib, name) in REPRESENTATIVES {
         let k = find(kernels, lib, name);
@@ -221,23 +189,6 @@ pub fn probe(
         let bstats = batch.batch_stats();
         crate::profile::add_counts(crate::profile::Phase::Warm, bstats.warm_instrs, 0);
         crate::profile::add_counts(crate::profile::Phase::Timed, bstats.timed_instrs, 0);
-        let batch_sims: Vec<SimResult> = batch.finalize();
-
-        let mut per = MultiCore::new(&cfgs);
-        per.begin_warm();
-        let t0 = Instant::now();
-        rec.replay_into(&mut per);
-        rep.per_instr_warm_ns += t0.elapsed().as_nanos();
-        per.begin_timed();
-        let t0 = Instant::now();
-        rec.replay_into(&mut per);
-        rep.per_instr_timed_ns += t0.elapsed().as_nanos();
-        let ref_sims = per.finalize();
-
-        assert_eq!(
-            batch_sims, ref_sims,
-            "{lib}.{name}: batch replay diverged from the per-instruction reference"
-        );
     }
     rep
 }

@@ -1,27 +1,26 @@
 //! Measurement runner: trace a kernel invocation, drive it through
 //! the timing model, and attach power/energy.
 //!
-//! The default path is *record-once / replay-many*: the kernel
+//! There is one path, *record-once / replay-many*: the kernel
 //! executes exactly once under a [`swan_simd::RecordSink`] that
 //! encodes the dynamic instruction stream into a compact replay
-//! buffer ([`record`]); the recording is then replayed into one
-//! incremental [`swan_uarch::CoreModel`] per core configuration —
-//! once to warm the caches (§4.3) and once timed — so N
-//! configurations cost one functional execution plus cheap stream
-//! decodes, mirroring the paper's capture-one-trace,
-//! replay-into-every-core methodology. Replay is bit-identical to the
-//! live stream (the codec's contract), so results are unchanged from
-//! the earlier execute-twice streaming flow. [`capture`] +
-//! [`simulate_trace`] remain as the explicit materialized batch path
-//! (and all three are bit-identical; see the `streaming_equivalence`
-//! integration tests).
+//! buffer ([`record_group`]); [`measure_recorded`] then replays the
+//! recording in decoded batches into one incremental
+//! [`swan_uarch::CoreModel`] per core configuration — once to warm
+//! the caches (§4.3) and once timed — so N configurations cost one
+//! functional execution plus cheap stream decodes, mirroring the
+//! paper's capture-one-trace, replay-into-every-core methodology.
+//! [`measure`] is the single-point form. Replay is bit-identical to
+//! the live stream (the codec's contract; the `streaming_equivalence`
+//! integration tests hold a whole campaign to a live-execution
+//! reference).
 
 use crate::kernel::{Impl, Kernel, Scale};
 use crate::profile::{self, Phase, ProfileScope};
 use crate::tracestore::{StoreKey, StoredRecording, TraceStore};
-use swan_simd::trace::{self, session_width, stream_into_at, Mode, Session, TraceSink};
+use swan_simd::trace::{self, session_width, stream_into_at, TraceSink};
 use swan_simd::{EncodedTrace, RecordSink, TraceData, TraceInstr, Width};
-use swan_uarch::{simulate, CoreConfig, EnergyModel, MultiCore, SimResult};
+use swan_uarch::{CoreConfig, EnergyModel, MultiCore, SimResult};
 
 /// One measured (kernel, implementation, width, core) point.
 /// Equality is exact (floats compare bitwise-equal values), which is
@@ -68,39 +67,6 @@ fn attach_energy(
         energy_j: energy.total_j(),
         work_ops,
     }
-}
-
-/// Capture the full dynamic trace of one kernel configuration
-/// (functional execution under the tracer). Returns the trace and the
-/// kernel's useful-operation count.
-///
-/// This materializes the whole trace — O(dynamic instruction count)
-/// memory. Prefer [`measure`] or [`record_group`], which encode the
-/// stream compactly.
-pub fn capture(
-    kernel: &dyn Kernel,
-    imp: Impl,
-    w: Width,
-    scale: Scale,
-    seed: u64,
-) -> (TraceData, u64) {
-    let mut inst = kernel.instantiate(scale, seed);
-    let sess = Session::begin(Mode::Full);
-    inst.run(imp, w);
-    (sess.finish(), inst.work_ops())
-}
-
-/// Replay a captured trace through the timing model on one core
-/// configuration (with cache warm-up, §4.3) and attach power/energy.
-/// `width_factor` scales vector-op energy for wide registers.
-pub fn simulate_trace(
-    trace: &TraceData,
-    cfg: &CoreConfig,
-    width_factor: f64,
-    work_ops: u64,
-) -> Measurement {
-    let sim = simulate(trace, cfg);
-    attach_energy(trace.histograms(), sim, cfg, width_factor, work_ops)
 }
 
 /// Execute a kernel configuration exactly once under a
@@ -152,22 +118,13 @@ impl GroupRecording {
         matches!(self.source, RecordingSource::Store(_))
     }
 
-    /// Drive the recorded stream into `sink`, reproducing the live
-    /// execution's sink calls bit-identically.
-    pub fn replay_into(&mut self, sink: &mut dyn TraceSink) {
-        match &mut self.source {
-            RecordingSource::Memory(enc) => enc.replay_into(sink),
-            RecordingSource::Store(stored) => stored.replay_into(sink),
-        }
-    }
-
     /// Drive the recorded stream out as decoded instruction batches —
     /// the monomorphic fast path for core-model consumers. Store-backed
     /// recordings decode double-buffered (chunk `k+1` is read and
     /// verified while the consumer simulates chunk `k`); in-memory
     /// recordings decode serially into one reusable arena. The
-    /// concatenated batches equal what a sink without an `on_overhead`
-    /// override receives from [`GroupRecording::replay_into`].
+    /// concatenated batches equal the live stream with overhead runs
+    /// expanded (what a [`swan_simd::VecSink`] receives).
     pub fn replay_batches(&mut self, consume: impl FnMut(&[TraceInstr])) {
         match &mut self.source {
             RecordingSource::Memory(enc) => enc.replay_batches(consume),
@@ -299,9 +256,9 @@ pub(crate) fn width_factor(imp: Impl, w: Width) -> f64 {
 /// (§4.3) and a second replay is timed. Both replays run on the batch
 /// path: each arena of decoded instructions is stepped through all N
 /// models while (for store-backed recordings) the next chunk decodes
-/// on a second thread. Bit-identical to the per-instruction sink path
-/// (`tests/batch_equivalence.rs`). Returns one [`Measurement`] per
-/// entry of `cfgs`, in order.
+/// on a second thread. Where the arena boundaries fall never changes
+/// the result (`tests/batch_equivalence.rs`). Returns one
+/// [`Measurement`] per entry of `cfgs`, in order.
 pub fn measure_recorded(
     rec: &mut GroupRecording,
     cfgs: &[CoreConfig],

@@ -592,7 +592,6 @@ impl HistSink {
         TraceData {
             by_op: self.by_op,
             by_class: self.by_class,
-            instrs: Vec::new(),
         }
     }
 }

@@ -427,7 +427,7 @@ impl<T: Elem> Neg for Tr<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{Mode, Session};
+    use crate::trace::{stream_into, Mode, Session, VecSink};
 
     #[test]
     fn arithmetic_counts_instructions() {
@@ -458,18 +458,18 @@ mod tests {
     fn load_store_round_trip() {
         let src = vec![10u16, 20, 30];
         let mut dst = vec![0u16; 3];
-        let s = Session::begin(Mode::Full);
-        for i in counted(0..3) {
-            let v = load(&src, i);
-            store(&mut dst, i, v + 1u16);
-        }
-        let data = s.finish();
+        let (data, trace, ()) = stream_into(VecSink::default(), || {
+            for i in counted(0..3) {
+                let v = load(&src, i);
+                store(&mut dst, i, v + 1u16);
+            }
+        });
         assert_eq!(dst, vec![11, 21, 31]);
         assert_eq!(data.op_count(Op::SLoad), 3);
         assert_eq!(data.op_count(Op::SStore), 3);
         assert_eq!(data.op_count(Op::SBranch), 3);
         // Store depends on the add result.
-        let st = data.instrs.iter().find(|i| i.op == Op::SStore).unwrap();
+        let st = trace.instrs.iter().find(|i| i.op == Op::SStore).unwrap();
         assert_ne!(st.srcs[0], 0);
     }
 

@@ -2,17 +2,15 @@
 //!
 //! Every intrinsic call on a [`crate::Vreg`] or tracked scalar emits one
 //! dynamic instruction into a per-thread tracer. A [`Session`] brackets a
-//! kernel invocation; finishing it yields [`TraceData`] containing the
-//! per-class/per-op histograms and — in [`Mode::Full`] — the complete
-//! dynamic trace with dataflow edges (value ids) and memory references.
+//! kernel invocation and only counts: finishing it yields [`TraceData`],
+//! the per-class/per-op histograms.
 //!
-//! Consumption is a *stream*: a [`TraceSink`] receives each dynamic
-//! instruction as it is emitted ([`Session::begin_with`] /
-//! [`stream_into`]), so a timing model can consume the trace with O(1)
-//! memory while the kernel executes — mirroring the paper's
-//! DynamoRIO → Ramulator pipe. [`Mode::Full`] is the back-compat
-//! batch path: it routes the same stream into an internal [`VecSink`]
-//! and hands the materialized trace back at [`Session::finish`].
+//! The full dynamic trace — dataflow edges (value ids) and memory
+//! references — exists only as a *stream*: [`stream_into`] routes each
+//! dynamic instruction into a [`TraceSink`] the moment it is emitted,
+//! mirroring the paper's DynamoRIO → Ramulator pipe. The codec's
+//! [`RecordSink`] encodes it for replay; a [`VecSink`] materializes it
+//! as a `Vec<TraceInstr>` for hand inspection and small references.
 
 pub mod codec;
 
@@ -239,9 +237,9 @@ pub trait TraceSink: Any {
     }
 }
 
-/// The batch sink: appends every instruction to a `Vec`. This is what
-/// [`Mode::Full`] routes into internally, and the bridge from the
-/// streaming world back to [`TraceData::instrs`].
+/// The materializing sink: appends every instruction to a `Vec`.
+/// `stream_into(VecSink::default(), f)` is the one way to hold a
+/// kernel's complete dynamic trace in memory.
 #[derive(Debug, Default)]
 pub struct VecSink {
     /// The materialized dynamic trace.
@@ -317,7 +315,8 @@ impl TraceSink for HashSink {
     }
 }
 
-/// Tracing mode.
+/// What a plain [`Session`] records. The complete dynamic trace is
+/// only ever streamed into a sink ([`stream_into`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Mode {
     /// No tracing; intrinsics run at full emulation speed.
@@ -325,8 +324,6 @@ pub enum Mode {
     Off,
     /// Histogram instruction counts only (Figure 1, Table 6).
     Count,
-    /// Record the complete dynamic trace (timing simulation input).
-    Full,
 }
 
 /// Synthetic base address of the per-session literal pool (far above
@@ -550,7 +547,7 @@ impl BufferRegistry {
 
 /// Register a buffer slice with the active session's
 /// [`BufferRegistry`] so its traced loads/stores are virtualized.
-/// No-op outside a [`Mode::Full`] session. Prefer the
+/// No-op outside a sink session ([`stream_into`]). Prefer the
 /// `swan_simd::with_buffers!` macro, which registers several buffers
 /// at once.
 pub fn register_slice<T>(s: &[T]) {
@@ -559,7 +556,7 @@ pub fn register_slice<T>(s: &[T]) {
     }
     TRACER.with(|t| {
         let mut t = t.borrow_mut();
-        if t.mode != Mode::Full {
+        if t.sink.is_none() {
             return;
         }
         t.bufs
@@ -615,10 +612,9 @@ struct Tracer {
     next_id: u32,
     by_op: [u64; OP_COUNT],
     by_class: [u64; CLASS_COUNT],
-    /// `Mode::Full` storage when no external sink is installed.
-    vec: VecSink,
-    /// External streaming sink (a sink session routes here instead).
-    ext: Option<Box<dyn TraceSink>>,
+    /// The sink of a [`stream_into`] session, which receives every
+    /// instruction; plain sessions have none and only count.
+    sink: Option<Box<dyn TraceSink>>,
     /// Literal pool: content → synthetic address. Constant
     /// materializations (`Vreg::from_lanes`) are addressed here so
     /// traces never depend on where a caller's staging buffer happens
@@ -642,8 +638,7 @@ impl Default for Tracer {
             next_id: 1,
             by_op: [0; OP_COUNT],
             by_class: [0; CLASS_COUNT],
-            vec: VecSink::default(),
-            ext: None,
+            sink: None,
             lit_pool: HashMap::new(),
             lit_next: LITERAL_POOL_BASE,
             bufs: BufferRegistry::new(),
@@ -655,16 +650,13 @@ thread_local! {
     static TRACER: RefCell<Tracer> = RefCell::new(Tracer::default());
 }
 
-/// Aggregated results of a tracing session.
+/// Instruction histograms of a tracing session.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceData {
     /// Per-op dynamic instruction counts, indexed by `Op as usize`.
     pub by_op: [u64; OP_COUNT],
     /// Per-class dynamic instruction counts, indexed by `Class as usize`.
     pub by_class: [u64; CLASS_COUNT],
-    /// Full dynamic trace (empty unless the session ran in [`Mode::Full`]
-    /// without an external sink).
-    pub instrs: Vec<TraceInstr>,
 }
 
 impl Default for TraceData {
@@ -672,7 +664,6 @@ impl Default for TraceData {
         TraceData {
             by_op: [0; OP_COUNT],
             by_class: [0; CLASS_COUNT],
-            instrs: Vec::new(),
         }
     }
 }
@@ -702,27 +693,13 @@ impl TraceData {
             .sum()
     }
 
-    /// Histograms only (drop the materialized trace). Used where a
-    /// `Measurement` keeps the mix but not the O(n) instruction list.
+    /// A copy of the histograms.
     pub fn histograms(&self) -> TraceData {
-        TraceData {
-            by_op: self.by_op,
-            by_class: self.by_class,
-            instrs: Vec::new(),
-        }
+        self.clone()
     }
 
-    /// Replay the materialized trace into a sink, instruction by
-    /// instruction — the bridge from a batch capture to any streaming
-    /// consumer.
-    pub fn replay_into(&self, sink: &mut dyn TraceSink) {
-        for ins in &self.instrs {
-            sink.on_instr(ins);
-        }
-    }
-
-    /// Merge another trace's histograms (used when a measurement spans
-    /// several invocations). Full traces are concatenated.
+    /// Add another session's histograms (used when a measurement spans
+    /// several invocations).
     pub fn merge(&mut self, other: &TraceData) {
         for i in 0..OP_COUNT {
             self.by_op[i] += other.by_op[i];
@@ -730,7 +707,6 @@ impl TraceData {
         for i in 0..CLASS_COUNT {
             self.by_class[i] += other.by_class[i];
         }
-        self.instrs.extend_from_slice(&other.instrs);
     }
 }
 
@@ -745,7 +721,7 @@ pub struct Session {
 }
 
 impl Session {
-    fn begin_inner(mode: Mode, width: Width, ext: Option<Box<dyn TraceSink>>) -> Session {
+    fn begin_inner(mode: Mode, width: Width, sink: Option<Box<dyn TraceSink>>) -> Session {
         TRACER.with(|t| {
             let mut t = t.borrow_mut();
             assert!(!t.active, "a trace session is already active");
@@ -755,8 +731,7 @@ impl Session {
             t.next_id = 1;
             t.by_op = [0; OP_COUNT];
             t.by_class = [0; CLASS_COUNT];
-            t.vec.instrs.clear();
-            t.ext = ext;
+            t.sink = sink;
             t.lit_pool.clear();
             t.lit_next = LITERAL_POOL_BASE;
             t.bufs.clear();
@@ -785,60 +760,23 @@ impl Session {
         Session::begin_inner(mode, width, None)
     }
 
-    /// Start a streaming session: every dynamic instruction is routed
-    /// into `sink` as it is emitted, and nothing is materialized.
-    /// Histogram counts are still accumulated and returned by
-    /// [`Session::finish`]. Recover the sink with
-    /// [`Session::finish_with`] (or use the [`stream_into`] wrapper).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a session is already active on this thread.
-    pub fn begin_with(sink: Box<dyn TraceSink>) -> Session {
-        Session::begin_inner(Mode::Full, Width::W128, Some(sink))
+    /// Stop tracing and return the collected histograms.
+    pub fn finish(self) -> TraceData {
+        self.finish_inner().0
     }
 
-    /// [`Session::begin_with`] at an explicit session width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a session is already active on this thread.
-    pub fn begin_with_at(sink: Box<dyn TraceSink>, width: Width) -> Session {
-        Session::begin_inner(Mode::Full, width, Some(sink))
-    }
-
-    /// Stop tracing and return the collected data.
-    pub fn finish(mut self) -> TraceData {
+    /// Stop tracing; hand back the histograms and the session's sink.
+    fn finish_inner(mut self) -> (TraceData, Option<Box<dyn TraceSink>>) {
         self.done = true;
         TRACER.with(|t| {
             let mut t = t.borrow_mut();
             t.active = false;
             t.mode = Mode::Off;
-            t.ext = None;
-            TraceData {
-                by_op: t.by_op,
-                by_class: t.by_class,
-                instrs: std::mem::take(&mut t.vec.instrs),
-            }
-        })
-    }
-
-    /// Stop tracing and return the collected data together with the
-    /// external sink installed by [`Session::begin_with`] (`None` for
-    /// plain sessions).
-    pub fn finish_with(mut self) -> (TraceData, Option<Box<dyn TraceSink>>) {
-        self.done = true;
-        TRACER.with(|t| {
-            let mut t = t.borrow_mut();
-            t.active = false;
-            t.mode = Mode::Off;
-            let sink = t.ext.take();
             let data = TraceData {
                 by_op: t.by_op,
                 by_class: t.by_class,
-                instrs: std::mem::take(&mut t.vec.instrs),
             };
-            (data, sink)
+            (data, t.sink.take())
         })
     }
 }
@@ -850,8 +788,7 @@ impl Drop for Session {
                 let mut t = t.borrow_mut();
                 t.active = false;
                 t.mode = Mode::Off;
-                t.vec.instrs.clear();
-                t.ext = None;
+                t.sink = None;
             });
         }
     }
@@ -860,9 +797,9 @@ impl Drop for Session {
 /// Run `f` with every emitted dynamic instruction streamed into
 /// `sink`, then hand the sink back: `(histograms, sink, f's result)`.
 ///
-/// This is the one-shot form of [`Session::begin_with`] — the sink
+/// This is the only way to observe the full dynamic trace; the sink
 /// type survives the trip through the tracer, so callers keep working
-/// with the concrete model they passed in:
+/// with the concrete consumer they passed in:
 ///
 /// ```
 /// use swan_simd::trace::{stream_into, Class, Op, TraceInstr, TraceSink};
@@ -892,13 +829,13 @@ pub fn stream_into_at<S: TraceSink, R>(
     sink: S,
     f: impl FnOnce() -> R,
 ) -> (TraceData, S, R) {
-    let sess = Session::begin_with_at(Box::new(sink), width);
+    let sess = Session::begin_inner(Mode::Count, width, Some(Box::new(sink)));
     let out = f();
-    let (data, sink) = sess.finish_with();
+    let (data, sink) = sess.finish_inner();
     let sink: Box<dyn Any> = sink.expect("sink session always holds a sink");
     let sink = *sink
         .downcast::<S>()
-        .expect("finish_with returns the sink passed to begin_with");
+        .expect("the session hands back the sink it was given");
     (data, sink, out)
 }
 
@@ -907,29 +844,25 @@ fn emit_inner(t: &mut Tracer, op: Op, class: Class, srcs: &[u32], mem: Option<Me
     t.by_class[class as usize] += 1;
     let id = t.next_id;
     t.next_id = next_value_id(id);
-    if t.mode == Mode::Full {
+    if let Some(sink) = t.sink.as_mut() {
         let mut s = [0u32; 4];
         let n = srcs.len().min(4);
         s[..n].copy_from_slice(&srcs[..n]);
-        let ins = TraceInstr {
+        sink.on_instr(&TraceInstr {
             op,
             class,
             dst: id,
             srcs: s,
             nsrc: n as u8,
             mem,
-        };
-        match t.ext.as_mut() {
-            Some(sink) => sink.on_instr(&ins),
-            None => t.vec.on_instr(&ins),
-        }
+        });
     }
     id
 }
 
 /// Emit one dynamic instruction; returns the fresh destination value id
-/// (0 when tracing is off). Memory references are translated through
-/// the session's [`BufferRegistry`] in [`Mode::Full`], so the recorded
+/// (0 when tracing is off). In a sink session memory references are
+/// translated through the session's [`BufferRegistry`], so the streamed
 /// trace never contains a host address.
 #[inline]
 pub(crate) fn emit(op: Op, class: Class, srcs: &[u32], mem: Option<MemRef>) -> u32 {
@@ -939,7 +872,7 @@ pub(crate) fn emit(op: Op, class: Class, srcs: &[u32], mem: Option<MemRef>) -> u
             return 0;
         }
         let t = &mut *t;
-        let mem = if t.mode == Mode::Full {
+        let mem = if t.sink.is_some() {
             mem.map(|m| t.bufs.translate_ref(m))
         } else {
             mem
@@ -961,7 +894,7 @@ pub(crate) fn emit_literal(op: Op, class: Class, content: &[u8]) -> u32 {
             return 0;
         }
         let t = &mut *t;
-        let mem = if t.mode == Mode::Full {
+        let mem = if t.sink.is_some() {
             let bytes = content.len() as u32;
             let lit_next = &mut t.lit_next;
             let addr = *t.lit_pool.entry(content.to_vec()).or_insert_with(|| {
@@ -992,14 +925,10 @@ pub(crate) fn emit_overhead(op: Op, class: Class, n: u64) {
         let t = &mut *t;
         t.by_op[op as usize] += n;
         t.by_class[class as usize] += n;
-        if t.mode == Mode::Full {
+        if let Some(sink) = t.sink.as_mut() {
             let first = t.next_id;
             t.next_id = advance_value_id(first, n);
-            let t = &mut *t;
-            match t.ext.as_mut() {
-                Some(sink) => sink.on_overhead(op, class, first, n),
-                None => t.vec.on_overhead(op, class, first, n),
-            }
+            sink.on_overhead(op, class, first, n);
         }
     })
 }
@@ -1027,34 +956,39 @@ mod tests {
         assert_eq!(d.total(), 2);
         assert_eq!(d.class_count(Class::VInt), 1);
         assert_eq!(d.op_count(Op::SLoad), 1);
-        assert!(d.instrs.is_empty(), "Count mode records no trace");
         assert!(!is_tracing());
     }
 
+    /// The full dynamic trace of `f`, materialized.
+    fn trace_of(f: impl FnOnce()) -> Vec<TraceInstr> {
+        stream_into(VecSink::default(), f).1.instrs
+    }
+
     #[test]
-    fn full_mode_records_dataflow() {
-        let s = Session::begin(Mode::Full);
-        let a = emit(
-            Op::VLd1,
-            Class::VLoad,
-            &[],
-            Some(MemRef { addr: 0, bytes: 16 }),
-        );
-        let b = emit(Op::VAlu, Class::VInt, &[a, a], None);
-        emit(
-            Op::VSt1,
-            Class::VStore,
-            &[b],
-            Some(MemRef {
-                addr: 64,
-                bytes: 16,
-            }),
-        );
-        let d = s.finish();
-        assert_eq!(d.instrs.len(), 3);
-        assert_eq!(d.instrs[1].srcs[0], a);
-        assert_eq!(d.instrs[2].srcs[0], b);
-        assert_eq!(d.instrs[0].mem.unwrap().bytes, 16);
+    fn vec_sink_records_dataflow() {
+        let (mut a, mut b) = (0, 0);
+        let instrs = trace_of(|| {
+            a = emit(
+                Op::VLd1,
+                Class::VLoad,
+                &[],
+                Some(MemRef { addr: 0, bytes: 16 }),
+            );
+            b = emit(Op::VAlu, Class::VInt, &[a, a], None);
+            emit(
+                Op::VSt1,
+                Class::VStore,
+                &[b],
+                Some(MemRef {
+                    addr: 64,
+                    bytes: 16,
+                }),
+            );
+        });
+        assert_eq!(instrs.len(), 3);
+        assert_eq!(instrs[1].srcs[0], a);
+        assert_eq!(instrs[2].srcs[0], b);
+        assert_eq!(instrs[0].mem.unwrap().bytes, 16);
     }
 
     #[test]
@@ -1091,7 +1025,7 @@ mod tests {
     #[test]
     fn dropped_session_rearms() {
         {
-            let _s = Session::begin(Mode::Full);
+            let _s = Session::begin(Mode::Count);
             emit(Op::VAlu, Class::VInt, &[], None);
         }
         let s = Session::begin(Mode::Count);
@@ -1127,27 +1061,29 @@ mod tests {
 
     #[test]
     fn emit_wraparound_never_hands_out_zero() {
-        let s = Session::begin(Mode::Full);
-        TRACER.with(|t| t.borrow_mut().next_id = u32::MAX);
-        let a = emit(Op::VAlu, Class::VInt, &[], None);
-        let b = emit(Op::VAlu, Class::VInt, &[a], None);
-        let c = emit(Op::VAlu, Class::VInt, &[b], None);
-        let d = s.finish();
+        let (mut a, mut b, mut c) = (0, 0, 0);
+        let instrs = trace_of(|| {
+            TRACER.with(|t| t.borrow_mut().next_id = u32::MAX);
+            a = emit(Op::VAlu, Class::VInt, &[], None);
+            b = emit(Op::VAlu, Class::VInt, &[a], None);
+            c = emit(Op::VAlu, Class::VInt, &[b], None);
+        });
         assert_eq!(a, u32::MAX);
         assert_eq!(b, 1, "id 0 must be skipped on wrap");
         assert_eq!(c, 2);
-        assert_eq!(d.instrs[1].srcs[0], a);
-        assert_eq!(d.instrs[2].srcs[0], b);
+        assert_eq!(instrs[1].srcs[0], a);
+        assert_eq!(instrs[2].srcs[0], b);
     }
 
     #[test]
     fn emit_overhead_wraps_like_emit() {
-        let s = Session::begin(Mode::Full);
-        TRACER.with(|t| t.borrow_mut().next_id = u32::MAX - 1);
-        emit_overhead(Op::SAlu, Class::SInt, 4);
-        let next = emit(Op::VAlu, Class::VInt, &[], None);
-        let d = s.finish();
-        let dsts: Vec<u32> = d.instrs.iter().map(|i| i.dst).collect();
+        let mut next = 0;
+        let instrs = trace_of(|| {
+            TRACER.with(|t| t.borrow_mut().next_id = u32::MAX - 1);
+            emit_overhead(Op::SAlu, Class::SInt, 4);
+            next = emit(Op::VAlu, Class::VInt, &[], None);
+        });
+        let dsts: Vec<u32> = instrs.iter().map(|i| i.dst).collect();
         assert_eq!(dsts, vec![u32::MAX - 1, u32::MAX, 1, 2, 3]);
         assert_eq!(next, 3);
     }
@@ -1179,43 +1115,9 @@ mod tests {
             emit_overhead(Op::SAlu, Class::SInt, 10);
         });
         assert_eq!(data.total(), 12);
-        assert!(data.instrs.is_empty(), "sink sessions materialize nothing");
         assert_eq!(probe.instrs.len(), 2);
         assert_eq!(probe.instrs[1].srcs[0], probe.instrs[0].dst);
         assert_eq!(probe.overheads, vec![(Op::SAlu, 10)]);
-    }
-
-    #[test]
-    fn vec_sink_matches_full_mode_exactly() {
-        let run = || {
-            let a = emit(
-                Op::VLd1,
-                Class::VLoad,
-                &[],
-                Some(MemRef {
-                    addr: 128,
-                    bytes: 16,
-                }),
-            );
-            let b = emit(Op::VMul, Class::VInt, &[a, a], None);
-            emit_overhead(Op::SBranch, Class::SInt, 7);
-            emit(
-                Op::VSt1,
-                Class::VStore,
-                &[b],
-                Some(MemRef {
-                    addr: 256,
-                    bytes: 16,
-                }),
-            );
-        };
-        let s = Session::begin(Mode::Full);
-        run();
-        let batch = s.finish();
-        let (streamed, sink, ()) = stream_into(VecSink::default(), run);
-        assert_eq!(batch.instrs, sink.instrs);
-        assert_eq!(batch.by_op, streamed.by_op);
-        assert_eq!(batch.by_class, streamed.by_class);
     }
 
     #[test]
@@ -1300,19 +1202,19 @@ mod tests {
     #[test]
     fn emit_translates_mem_through_session_registry() {
         let data = vec![0u8; 256];
-        let s = Session::begin(Mode::Full);
-        register_slice(&data);
-        emit(
-            Op::VLd1,
-            Class::VLoad,
-            &[],
-            Some(MemRef {
-                addr: data.as_ptr() as u64 + 32,
-                bytes: 16,
-            }),
-        );
-        let d = s.finish();
-        let m = d.instrs[0].mem.unwrap();
+        let instrs = trace_of(|| {
+            register_slice(&data);
+            emit(
+                Op::VLd1,
+                Class::VLoad,
+                &[],
+                Some(MemRef {
+                    addr: data.as_ptr() as u64 + 32,
+                    bytes: 16,
+                }),
+            );
+        });
+        let m = instrs[0].mem.unwrap();
         assert!(
             m.addr >= BUF_ARENA_BASE && m.addr < ANON_POOL_BASE,
             "registered access must map into a buffer arena: {:#x}",
@@ -1323,9 +1225,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates_histograms_and_concatenates() {
+    fn merge_accumulates_histograms() {
         let mk = |ops: &[(Op, Class)]| {
-            let s = Session::begin(Mode::Full);
+            let s = Session::begin(Mode::Count);
             for &(op, class) in ops {
                 emit(op, class, &[], None);
             }
@@ -1344,15 +1246,11 @@ mod tests {
         assert_eq!(ab.op_count(Op::VAlu), 2);
         assert_eq!(ab.op_count(Op::SFma), 1);
         assert_eq!(ab.class_count(Class::SInt), 2);
-        assert_eq!(ab.instrs.len(), a.instrs.len() + b.instrs.len());
-        assert_eq!(&ab.instrs[..a.instrs.len()], &a.instrs[..]);
-        assert_eq!(&ab.instrs[a.instrs.len()..], &b.instrs[..]);
 
         // Histogram totals are order-independent (commutative add)...
         let mut ba = b.clone();
         ba.merge(&a);
-        assert_eq!(ba.by_op, ab.by_op);
-        assert_eq!(ba.by_class, ab.by_class);
+        assert_eq!(ba, ab);
         // ...and associative.
         let c = mk(&[(Op::VSt1, Class::VStore)]);
         let mut ab_c = ab.clone();
@@ -1361,21 +1259,17 @@ mod tests {
         bc.merge(&c);
         let mut a_bc = a.clone();
         a_bc.merge(&bc);
-        assert_eq!(ab_c.by_op, a_bc.by_op);
-        assert_eq!(ab_c.by_class, a_bc.by_class);
-        assert_eq!(ab_c.instrs, a_bc.instrs);
+        assert_eq!(ab_c, a_bc);
     }
 
     #[test]
     fn merge_with_empty_is_identity() {
-        let s = Session::begin(Mode::Full);
+        let s = Session::begin(Mode::Count);
         emit(Op::VMul, Class::VInt, &[], None);
         let a = s.finish();
         let mut m = a.clone();
         m.merge(&TraceData::default());
-        assert_eq!(m.by_op, a.by_op);
-        assert_eq!(m.by_class, a.by_class);
-        assert_eq!(m.instrs, a.instrs);
+        assert_eq!(m, a);
     }
 
     #[test]
@@ -1401,22 +1295,5 @@ mod tests {
         // the line survives virtualization and must change the digest.
         let (h3, _) = run(8);
         assert_ne!(h1, h3, "a differing address must change the digest");
-    }
-
-    #[test]
-    fn replay_into_reproduces_the_stream() {
-        let s = Session::begin(Mode::Full);
-        let a = emit(
-            Op::VLd1,
-            Class::VLoad,
-            &[],
-            Some(MemRef { addr: 0, bytes: 16 }),
-        );
-        emit(Op::VAlu, Class::VInt, &[a], None);
-        emit_overhead(Op::SAlu, Class::SInt, 3);
-        let d = s.finish();
-        let mut replayed = VecSink::default();
-        d.replay_into(&mut replayed);
-        assert_eq!(replayed.instrs, d.instrs);
     }
 }

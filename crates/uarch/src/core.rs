@@ -13,7 +13,7 @@
 use crate::cache::{CacheHierarchy, CacheStats};
 use crate::config::CoreConfig;
 use swan_simd::trace::{CLASS_COUNT, OP_COUNT};
-use swan_simd::{EncodedTrace, Op, TraceData, TraceInstr, TraceSink};
+use swan_simd::{Op, TraceInstr};
 
 /// Functional-unit pools.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -350,12 +350,12 @@ enum Phase {
 /// The trace-driven core model (caches persist across runs so a warm-up
 /// pass can precede the timed run).
 ///
-/// The model is *incremental*: it implements [`TraceSink`], consuming
-/// dynamic instructions one at a time as a kernel executes under
-/// [`swan_simd::trace::stream_into`]. The classic batch entry points
-/// ([`CoreModel::warm`], [`CoreModel::run`]) are thin wrappers that
-/// replay a materialized [`TraceData`] through the same incremental
-/// path, so streaming and batch simulation are bit-identical.
+/// The model is *incremental*: it consumes a dynamic instruction
+/// stream batch by batch, in two phases. [`CoreModel::begin_warm`] +
+/// [`CoreModel::warm_batch`] replay the memory references into the
+/// caches; [`CoreModel::begin_timed`] + [`CoreModel::step_batch`] run
+/// the timed schedule; [`CoreModel::finalize`] returns the result.
+/// Where the batch boundaries fall never changes the result.
 pub struct CoreModel {
     cfg: CoreConfig,
     caches: CacheHierarchy,
@@ -400,8 +400,9 @@ impl CoreModel {
         m
     }
 
-    /// Enter the warm-up phase: subsequent [`CoreModel::step`]s replay
-    /// only the memory reference stream into the caches (no timing).
+    /// Enter the warm-up phase: subsequent [`CoreModel::step_batch`]es
+    /// replay only the memory reference stream into the caches (no
+    /// timing).
     pub fn begin_warm(&mut self) {
         self.phase = Phase::Warm;
     }
@@ -413,15 +414,6 @@ impl CoreModel {
         self.sched.reset();
         self.caches.reset_stats();
         self.phase = Phase::Timed;
-    }
-
-    /// Consume one dynamic instruction (warm or timed, per phase). A
-    /// thin wrapper over the batch loops, so streaming and batch
-    /// consumption share one scheduler implementation and stay
-    /// bit-identical by construction.
-    #[inline]
-    pub fn step(&mut self, ins: &TraceInstr) {
-        self.step_batch(std::slice::from_ref(ins));
     }
 
     /// Replay a batch's memory reference stream into the caches — the
@@ -440,8 +432,8 @@ impl CoreModel {
     /// the whole slice, then the monomorphic warm or timed loop. This
     /// is the devirtualized fast path the replay engine feeds with
     /// [`swan_simd::EncodedTrace::replay_batches`]-style decoded
-    /// arenas; results are bit-identical to stepping the same
-    /// instructions one at a time through the [`TraceSink`] interface.
+    /// arenas; the scheduler state carries across calls, so any split
+    /// of a stream into batches gives bit-identical results.
     pub fn step_batch(&mut self, batch: &[TraceInstr]) {
         match self.phase {
             Phase::Warm => self.warm_batch(batch),
@@ -579,48 +571,6 @@ impl CoreModel {
         self.phase = Phase::Timed;
         result
     }
-
-    /// Replay only the memory reference stream of a materialized trace
-    /// to warm the caches (no timing, no statistics).
-    pub fn warm(&mut self, trace: &TraceData) {
-        self.begin_warm();
-        for ins in &trace.instrs {
-            self.step(ins);
-        }
-    }
-
-    /// Timed batch simulation of a materialized trace: a thin wrapper
-    /// over the incremental path ([`CoreModel::begin_timed`] +
-    /// [`CoreModel::step`] + [`CoreModel::finalize`]).
-    pub fn run(&mut self, trace: &TraceData) -> SimResult {
-        self.begin_timed();
-        for ins in &trace.instrs {
-            self.step(ins);
-        }
-        self.finalize()
-    }
-
-    /// Warm the caches from a recorded stream ([`EncodedTrace`]) —
-    /// the record-once/replay-many twin of [`CoreModel::warm`], and
-    /// bit-identical to being fed the live execution.
-    pub fn warm_encoded(&mut self, enc: &EncodedTrace) {
-        self.begin_warm();
-        enc.replay_into(self);
-    }
-
-    /// Timed run fed from a recorded stream — the
-    /// record-once/replay-many twin of [`CoreModel::run`].
-    pub fn run_encoded(&mut self, enc: &EncodedTrace) -> SimResult {
-        self.begin_timed();
-        enc.replay_into(self);
-        self.finalize()
-    }
-}
-
-impl TraceSink for CoreModel {
-    fn on_instr(&mut self, ins: &TraceInstr) {
-        self.step(ins);
-    }
 }
 
 /// Cumulative batch-phase counters of one [`MultiCore`] fan-out:
@@ -640,10 +590,9 @@ pub struct BatchStats {
     pub timed_instrs: u64,
 }
 
-/// Fan-out sink driving several core models from one functional
-/// execution: each dynamic instruction is stepped through every model,
-/// so N core configurations are measured from a single traced kernel
-/// run instead of N capture/replay round-trips.
+/// Fan-out driving several core models from one instruction stream:
+/// each batch is stepped through every model, so N core
+/// configurations are measured from a single recorded kernel run.
 #[derive(Debug)]
 pub struct MultiCore {
     models: Vec<CoreModel>,
@@ -656,15 +605,6 @@ impl MultiCore {
     pub fn new(cfgs: &[CoreConfig]) -> MultiCore {
         MultiCore {
             models: cfgs.iter().map(|c| CoreModel::new(c.clone())).collect(),
-            stats: BatchStats::default(),
-            timed: false,
-        }
-    }
-
-    /// Wrap existing models (cache state preserved).
-    pub fn from_models(models: Vec<CoreModel>) -> MultiCore {
-        MultiCore {
-            models,
             stats: BatchStats::default(),
             timed: false,
         }
@@ -691,13 +631,6 @@ impl MultiCore {
         for m in &mut self.models {
             m.begin_warm();
         }
-    }
-
-    /// Warm every model's caches from a recorded stream (the fan-out
-    /// form of [`CoreModel::warm_encoded`]).
-    pub fn warm_encoded(&mut self, enc: &EncodedTrace) {
-        self.begin_warm();
-        enc.replay_into(self);
     }
 
     /// Enter the timed phase on every model.
@@ -739,38 +672,25 @@ impl MultiCore {
     pub fn finalize(&mut self) -> Vec<SimResult> {
         self.models.iter_mut().map(|m| m.finalize()).collect()
     }
-
-    /// Take the models back out.
-    pub fn into_models(self) -> Vec<CoreModel> {
-        self.models
-    }
-}
-
-impl TraceSink for MultiCore {
-    fn on_instr(&mut self, ins: &TraceInstr) {
-        for m in &mut self.models {
-            m.step(ins);
-        }
-    }
-
-    fn on_overhead(&mut self, op: Op, class: swan_simd::Class, first_id: u32, n: u64) {
-        for m in &mut self.models {
-            m.on_overhead(op, class, first_id, n);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swan_simd::trace::{Class, MemRef, Mode, Session};
-    use swan_simd::TraceInstr;
+    use swan_simd::trace::{stream_into, Class, MemRef};
+    use swan_simd::{RecordSink, TraceSink, VecSink};
     use swan_simd::{Vreg, Width};
 
-    fn trace_of(f: impl FnOnce()) -> TraceData {
-        let s = Session::begin(Mode::Full);
-        f();
-        s.finish()
+    fn trace_of(f: impl FnOnce()) -> Vec<TraceInstr> {
+        stream_into(VecSink::default(), f).1.instrs
+    }
+
+    /// A timed run with no warm-up pass: whatever the caches already
+    /// hold (nothing, for a fresh model) carries over.
+    fn timed(m: &mut CoreModel, t: &[TraceInstr]) -> SimResult {
+        m.begin_timed();
+        m.step_batch(t);
+        m.finalize()
     }
 
     #[test]
@@ -889,23 +809,22 @@ mod tests {
     fn cache_misses_show_up_as_backend_stalls() {
         // Strided walk: every access a fresh line, far beyond the LLC,
         // with each load feeding the next (pointer-chase style).
-        let mut t = TraceData::default();
-        for i in 0..20_000u32 {
-            let addr = (i as u64).wrapping_mul(997) * 64;
-            t.instrs.push(TraceInstr {
+        let t: Vec<TraceInstr> = (0..20_000u32)
+            .map(|i| TraceInstr {
                 op: Op::SLoad,
                 class: Class::SInt,
                 dst: i + 1,
                 srcs: [i, 0, 0, 0],
                 nsrc: 1,
-                mem: Some(MemRef { addr, bytes: 4 }),
-            });
-            t.by_op[Op::SLoad as usize] += 1;
-            t.by_class[Class::SInt as usize] += 1;
-        }
+                mem: Some(MemRef {
+                    addr: (i as u64).wrapping_mul(997) * 64,
+                    bytes: 4,
+                }),
+            })
+            .collect();
         let mut cfg = CoreConfig::prime();
         cfg.mem.prefetch_degree = 0;
-        let r = crate::simulate_cold(&t, &cfg);
+        let r = timed(&mut CoreModel::new(cfg), &t);
         assert!(r.llc.misses > 10_000, "LLC misses {}", r.llc.misses);
         assert!(r.ipc() < 0.1, "pointer-chase IPC {}", r.ipc());
         assert!(r.be_stall_pct() > 50.0, "BE stalls {}", r.be_stall_pct());
@@ -930,8 +849,7 @@ mod tests {
 
     #[test]
     fn empty_trace() {
-        let t = TraceData::default();
-        let r = crate::simulate(&t, &CoreConfig::prime());
+        let r = crate::simulate(&[], &CoreConfig::prime());
         assert_eq!(r.instrs, 0);
         assert_eq!(r.ipc(), 0.0);
     }
@@ -940,36 +858,22 @@ mod tests {
     fn load_dependency_delays_consumer() {
         // load -> add chain vs independent add: the chain must be
         // at least L1-latency slower per pair.
-        let dep = {
-            let s = Session::begin(Mode::Full);
-            let buf = vec![0u32; 1024];
+        let buf = vec![0u32; 1024];
+        let dep = trace_of(|| {
             for i in 0..1000 {
                 let v = swan_simd::scalar::load(&buf, i % 1024);
                 let _ = v + 1u32;
             }
-            s.finish()
-        };
+        });
         let r = crate::simulate(&dep, &CoreConfig::prime());
         // Loads hit L1 (warm): 4-cycle latency but pipelined across
         // iterations, so IPC stays decent yet below the ALU-only peak.
         assert!(r.ipc() > 1.0);
     }
 
-    #[allow(dead_code)]
-    fn mem_instr(addr: u64) -> TraceInstr {
-        TraceInstr {
-            op: Op::SLoad,
-            class: Class::SInt,
-            dst: 1,
-            srcs: [0; 4],
-            nsrc: 0,
-            mem: Some(MemRef { addr, bytes: 4 }),
-        }
-    }
-
     /// A mixed trace exercising dependences, memory, branches, and
     /// every structural hazard path.
-    fn mixed_trace() -> TraceData {
+    fn mixed_trace() -> Vec<TraceInstr> {
         let data: Vec<i32> = (0..8192).collect();
         let mut out = vec![0i32; 8192];
         trace_of(|| {
@@ -987,28 +891,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_steps_match_batch_run_bit_for_bit() {
-        let t = mixed_trace();
-        for cfg in [
-            CoreConfig::prime(),
-            CoreConfig::silver(),
-            CoreConfig::sweep(8, 8),
-        ] {
-            // Batch: warm replay + timed replay.
-            let batch = crate::simulate(&t, &cfg);
-            // Streaming: the same instructions stepped through the
-            // sink interface, warm phase then timed phase.
-            let mut m = CoreModel::new(cfg.clone());
-            m.begin_warm();
-            t.replay_into(&mut m);
-            m.begin_timed();
-            t.replay_into(&mut m);
-            let streamed = m.finalize();
-            assert_eq!(batch, streamed, "cfg {}", cfg.name);
-        }
-    }
-
-    #[test]
     fn multicore_fanout_matches_independent_models() {
         let t = mixed_trace();
         let cfgs = [
@@ -1019,11 +901,14 @@ mod tests {
         let solo: Vec<SimResult> = cfgs.iter().map(|c| crate::simulate(&t, c)).collect();
         let mut multi = MultiCore::new(&cfgs);
         multi.begin_warm();
-        t.replay_into(&mut multi);
+        for b in t.chunks(8192) {
+            multi.warm_batch(b);
+        }
         multi.begin_timed();
-        t.replay_into(&mut multi);
-        let fanned = multi.finalize();
-        assert_eq!(solo, fanned);
+        for b in t.chunks(8192) {
+            multi.step_batch(b);
+        }
+        assert_eq!(solo, multi.finalize());
     }
 
     #[test]
@@ -1048,9 +933,9 @@ mod tests {
             for cfg in [CoreConfig::prime(), CoreConfig::silver()] {
                 let small = crate::simulate(t, &cfg);
                 let mut big = CoreModel::with_ready_ring(cfg.clone(), 1 << 20);
-                big.warm(t);
-                let big_r = big.run(t);
-                assert_eq!(small, big_r, "cfg {}", cfg.name);
+                big.begin_warm();
+                big.warm_batch(t);
+                assert_eq!(small, timed(&mut big, t), "cfg {}", cfg.name);
             }
         }
     }
@@ -1066,141 +951,86 @@ mod tests {
     }
 
     #[test]
-    fn step_batch_matches_per_instruction_step_bit_for_bit() {
+    fn batch_boundaries_never_change_results() {
+        // Single-instruction batches, awkward sizes, and different
+        // splits between the warm and timed passes must all equal one
+        // whole-stream batch per pass.
         let t = mixed_trace();
         for cfg in [
             CoreConfig::prime(),
             CoreConfig::silver(),
             CoreConfig::sweep(8, 8),
         ] {
-            let mut per = CoreModel::new(cfg.clone());
-            per.begin_warm();
-            for ins in &t.instrs {
-                per.step(ins);
+            let whole = crate::simulate(&t, &cfg);
+            for (warm_cap, timed_cap) in [(1, 1), (7, 13), (8192, 1)] {
+                let mut m = CoreModel::new(cfg.clone());
+                m.begin_warm();
+                for chunk in t.chunks(warm_cap) {
+                    m.step_batch(chunk);
+                }
+                m.begin_timed();
+                for chunk in t.chunks(timed_cap) {
+                    m.step_batch(chunk);
+                }
+                assert_eq!(
+                    whole,
+                    m.finalize(),
+                    "cfg {} batches {warm_cap}/{timed_cap}",
+                    cfg.name
+                );
             }
-            per.begin_timed();
-            for ins in &t.instrs {
-                per.step(ins);
-            }
-            let per = per.finalize();
-            // Awkward batch sizes, different between warm and timed.
-            let mut batched = CoreModel::new(cfg.clone());
-            batched.begin_warm();
-            for chunk in t.instrs.chunks(7) {
-                batched.step_batch(chunk);
-            }
-            batched.begin_timed();
-            for chunk in t.instrs.chunks(13) {
-                batched.step_batch(chunk);
-            }
-            let batched = batched.finalize();
-            assert_eq!(per, batched, "cfg {}", cfg.name);
         }
     }
 
     #[test]
-    fn batch_replay_fed_multicore_matches_sink_fed_multicore() {
+    fn recorded_batches_match_the_live_stream_at_any_capacity() {
         // The executor's actual fast path: a recorded stream decoded
         // into batches feeding MultiCore::warm_batch/step_batch must
-        // equal the same recording pushed through the TraceSink
-        // fan-out, including overhead-run expansion.
-        use swan_simd::RecordSink;
+        // equal simulating the live stream directly, including the
+        // expansion of a bulk overhead run, whatever the arena size.
         let t = mixed_trace();
         let mut rec = RecordSink::new();
-        for ins in &t.instrs {
+        let mut live = VecSink::default();
+        for ins in &t {
             rec.on_instr(ins);
+            live.on_instr(ins);
         }
-        rec.on_overhead(Op::SBranch, swan_simd::Class::SInt, 424242, 1000);
+        rec.on_overhead(Op::SBranch, Class::SInt, 424242, 1000);
+        live.on_overhead(Op::SBranch, Class::SInt, 424242, 1000);
         let enc = rec.finish();
         let cfgs = [
             CoreConfig::prime(),
             CoreConfig::gold(),
             CoreConfig::silver(),
         ];
-        let mut sunk = MultiCore::new(&cfgs);
-        sunk.warm_encoded(&enc);
-        sunk.begin_timed();
-        enc.replay_into(&mut sunk);
-        let sunk = sunk.finalize();
+        let solo: Vec<SimResult> = cfgs
+            .iter()
+            .map(|c| crate::simulate(&live.instrs, c))
+            .collect();
         for cap in [1usize, 33, 8192] {
             let mut batched = MultiCore::new(&cfgs);
             batched.begin_warm();
             enc.replay_batches_with(cap, |b| batched.warm_batch(b));
             batched.begin_timed();
             enc.replay_batches_with(cap, |b| batched.step_batch(b));
-            let batched = batched.finalize();
-            assert_eq!(sunk, batched, "cap {cap}");
+            assert_eq!(solo, batched.finalize(), "cap {cap}");
         }
-    }
-
-    #[test]
-    fn replay_fed_model_matches_live_fed_model() {
-        // Record the stream once; feeding warm+timed passes from the
-        // recording must be bit-identical to feeding the live stream
-        // twice — the record-once/replay-many contract the campaign
-        // executor relies on. Exercised at the CoreModel and MultiCore
-        // layers, including the on_overhead bulk path.
-        use swan_simd::{RecordSink, VecSink};
-        let data: Vec<i32> = (0..4096).collect();
-        let run = || {
-            let w = Width::W128;
-            let mut acc = Vreg::<i32>::zero(w);
-            for off in (0..4096).step_by(4) {
-                let v = Vreg::load(w, &data, off);
-                acc = acc.add(v.mul(v));
-            }
-            std::hint::black_box(acc.lane_value(0));
-        };
-        let (_, rec, ()) = swan_simd::stream_into(RecordSink::new(), run);
-        let enc = rec.finish();
-        let (_, live, ()) = swan_simd::stream_into(VecSink::default(), run);
-        let live = TraceData {
-            instrs: live.instrs,
-            ..TraceData::default()
-        };
-        for cfg in [CoreConfig::prime(), CoreConfig::silver()] {
-            let mut a = CoreModel::new(cfg.clone());
-            a.warm(&live);
-            let batch = a.run(&live);
-            let mut b = CoreModel::new(cfg.clone());
-            b.warm_encoded(&enc);
-            let replayed = b.run_encoded(&enc);
-            assert_eq!(batch, replayed, "cfg {}", cfg.name);
-        }
-        let cfgs = [CoreConfig::prime(), CoreConfig::gold()];
-        let mut multi = MultiCore::new(&cfgs);
-        multi.warm_encoded(&enc);
-        multi.begin_timed();
-        enc.replay_into(&mut multi);
-        let fanned = multi.finalize();
-        let solo: Vec<SimResult> = cfgs
-            .iter()
-            .map(|c| {
-                let mut m = CoreModel::new(c.clone());
-                m.warm_encoded(&enc);
-                m.run_encoded(&enc)
-            })
-            .collect();
-        assert_eq!(solo, fanned);
     }
 
     #[test]
     fn model_is_reusable_after_finalize() {
         let t = mixed_trace();
         let mut m = CoreModel::new(CoreConfig::prime());
-        let first = m.run(&t);
+        let first = timed(&mut m, &t);
         // Second run on a warmed cache: deterministic, and not slower
         // bookkeeping-wise (same instruction count).
-        let second = m.run(&t);
+        let second = timed(&mut m, &t);
         assert_eq!(first.instrs, second.instrs);
         assert!(
             second.cycles <= first.cycles,
             "warmed rerun can't be slower"
         );
         // A cold model warmed explicitly reproduces the warmed rerun.
-        let mut fresh = CoreModel::new(CoreConfig::prime());
-        fresh.warm(&t);
-        let warmed = fresh.run(&t);
-        assert_eq!(warmed, second);
+        assert_eq!(crate::simulate(&t, &CoreConfig::prime()), second);
     }
 }

@@ -20,17 +20,17 @@
 //! ## Example
 //!
 //! ```
-//! use swan_simd::{trace, Vreg, Width};
+//! use swan_simd::{trace, Vreg, VecSink, Width};
 //! use swan_uarch::{simulate, CoreConfig};
 //!
-//! let sess = trace::Session::begin(trace::Mode::Full);
 //! let data: Vec<f32> = vec![1.0; 256];
-//! let mut acc = Vreg::<f32>::zero(Width::W128);
-//! for off in (0..256).step_by(4) {
-//!     acc = acc.add(Vreg::load(Width::W128, &data, off));
-//! }
-//! let trace = sess.finish();
-//! let result = simulate(&trace, &CoreConfig::prime());
+//! let (_, trace, ()) = trace::stream_into(VecSink::default(), || {
+//!     let mut acc = Vreg::<f32>::zero(Width::W128);
+//!     for off in (0..256).step_by(4) {
+//!         acc = acc.add(Vreg::load(Width::W128, &data, off));
+//!     }
+//! });
+//! let result = simulate(&trace.instrs, &CoreConfig::prime());
 //! assert!(result.cycles > 0);
 //! assert!(result.ipc() <= CoreConfig::prime().commit_width as f64);
 //! ```
@@ -48,20 +48,17 @@ pub use config::{CoreConfig, CoreId};
 pub use core::{BatchStats, CoreModel, MultiCore, SimResult};
 pub use power::{EnergyBreakdown, EnergyModel};
 
-use swan_simd::TraceData;
+use swan_simd::TraceInstr;
 
-/// Simulate a trace on the given core with warmed caches: the memory
-/// reference stream is replayed once to warm the hierarchy (the paper
-/// warms caches before each measured iteration, §4.3), then the timed
-/// simulation runs.
-pub fn simulate(trace: &TraceData, cfg: &CoreConfig) -> SimResult {
+/// Simulate a hand-built instruction stream on the given core with
+/// warmed caches: the memory reference stream is replayed once to warm
+/// the hierarchy (the paper warms caches before each measured
+/// iteration, §4.3), then the timed simulation runs.
+pub fn simulate(instrs: &[TraceInstr], cfg: &CoreConfig) -> SimResult {
     let mut model = CoreModel::new(cfg.clone());
-    model.warm(trace);
-    model.run(trace)
-}
-
-/// Simulate with cold caches (no warm-up replay).
-pub fn simulate_cold(trace: &TraceData, cfg: &CoreConfig) -> SimResult {
-    let mut model = CoreModel::new(cfg.clone());
-    model.run(trace)
+    model.begin_warm();
+    model.warm_batch(instrs);
+    model.begin_timed();
+    model.step_batch(instrs);
+    model.finalize()
 }

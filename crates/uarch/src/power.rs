@@ -111,14 +111,15 @@ impl EnergyModel {
 mod tests {
     use super::*;
     use crate::config::CoreConfig;
-    use swan_simd::trace::{Mode, Session};
-    use swan_simd::{scalar, Vreg, Width};
+    use swan_simd::trace::stream_into;
+    use swan_simd::{scalar, TraceInstr, VecSink, Vreg, Width};
+
+    fn trace_of(f: impl FnOnce()) -> Vec<TraceInstr> {
+        stream_into(VecSink::default(), f).1.instrs
+    }
 
     fn sim(f: impl FnOnce()) -> SimResult {
-        let s = Session::begin(Mode::Full);
-        f();
-        let t = s.finish();
-        crate::simulate(&t, &CoreConfig::prime())
+        crate::simulate(&trace_of(f), &CoreConfig::prime())
     }
 
     #[test]
@@ -194,14 +195,14 @@ mod tests {
 
     #[test]
     fn silver_draws_less_power_than_prime() {
-        let s = Session::begin(Mode::Full);
         let data: Vec<f32> = vec![1.0; 8192];
-        let w = Width::W128;
-        let mut acc = Vreg::<f32>::zero(w);
-        for off in (0..8192).step_by(4) {
-            acc = acc.mla(Vreg::load(w, &data, off), Vreg::load(w, &data, off));
-        }
-        let t = s.finish();
+        let t = trace_of(|| {
+            let w = Width::W128;
+            let mut acc = Vreg::<f32>::zero(w);
+            for off in (0..8192).step_by(4) {
+                acc = acc.mla(Vreg::load(w, &data, off), Vreg::load(w, &data, off));
+            }
+        });
         let m = EnergyModel::default();
         let prime_cfg = CoreConfig::prime();
         let silver_cfg = CoreConfig::silver();

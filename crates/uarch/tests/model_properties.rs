@@ -2,12 +2,20 @@
 
 use proptest::prelude::*;
 use swan_simd::trace::{Class, MemRef, Op};
-use swan_simd::{TraceData, TraceInstr};
-use swan_uarch::{simulate, simulate_cold, CoreConfig};
+use swan_simd::TraceInstr;
+use swan_uarch::{simulate, CoreConfig, CoreModel, SimResult};
+
+/// A timed run on cold caches (no warm-up pass).
+fn run_cold(t: &[TraceInstr], cfg: &CoreConfig) -> SimResult {
+    let mut model = CoreModel::new(cfg.clone());
+    model.begin_timed();
+    model.step_batch(t);
+    model.finalize()
+}
 
 /// Build a synthetic trace of `n` instructions with a configurable mix.
-fn synth_trace(n: u32, loads: bool, chain: bool) -> TraceData {
-    let mut t = TraceData::default();
+fn synth_trace(n: u32, loads: bool, chain: bool) -> Vec<TraceInstr> {
+    let mut t = Vec::with_capacity(n as usize);
     for i in 1..=n {
         let (op, class, mem) = if loads && i % 3 == 0 {
             (
@@ -22,7 +30,7 @@ fn synth_trace(n: u32, loads: bool, chain: bool) -> TraceData {
             (Op::SAlu, Class::SInt, None)
         };
         let src = if chain { i - 1 } else { 0 };
-        t.instrs.push(TraceInstr {
+        t.push(TraceInstr {
             op,
             class,
             dst: i,
@@ -30,8 +38,6 @@ fn synth_trace(n: u32, loads: bool, chain: bool) -> TraceData {
             nsrc: 1,
             mem,
         });
-        t.by_op[op as usize] += 1;
-        t.by_class[class as usize] += 1;
     }
     t
 }
@@ -69,7 +75,7 @@ proptest! {
         let cfg = CoreConfig::prime();
         let t = synth_trace(n, true, false);
         let warm = simulate(&t, &cfg);
-        let cold = simulate_cold(&t, &cfg);
+        let cold = run_cold(&t, &cfg);
         prop_assert!(warm.cycles <= cold.cycles);
         prop_assert!(warm.l1d.misses <= cold.l1d.misses);
     }
@@ -112,7 +118,7 @@ proptest! {
             0xFFFE_0000_0000_0000u64,
         ] {
             let mut moved = t.clone();
-            for ins in &mut moved.instrs {
+            for ins in &mut moved {
                 if let Some(m) = &mut ins.mem {
                     m.addr += base;
                 }

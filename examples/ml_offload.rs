@@ -9,7 +9,7 @@
 
 use swan::prelude::*;
 use swan_accel::GpuModel;
-use swan_core::{capture, simulate_trace};
+use swan_core::measure;
 use swan_kernels::xp::{conv_layers, GemmF32, Shape};
 
 fn main() {
@@ -29,8 +29,8 @@ fn main() {
             k: s.k,
             n: s.n,
         });
-        let (tr, macs) = capture(&kernel, Impl::Neon, Width::W128, Scale(1.0), 9);
-        let neon = simulate_trace(&tr, &prime, 1.0, macs);
+        let neon = measure(&kernel, Impl::Neon, Width::W128, &prime, Scale(1.0), 9);
+        let macs = neon.work_ops;
         let gpu_t = gpu.gemm_time(macs).seconds().unwrap();
         let advice = if neon.seconds() <= gpu_t {
             "keep on Neon"

@@ -23,7 +23,7 @@
 //! fig5a fig5b tab6 tab7 fig6 patterns detail all`. The default scale
 //! is the report scale (0.4 of paper-size inputs, preserving the
 //! cache-pressure regimes); `--quick` runs a much smaller scale for a
-//! fast smoke pass. `--threads N` shards the measurement campaign
+//! fast smoke pass. `--scale F` takes any finite factor above 0. `--threads N` shards the measurement campaign
 //! across N worker threads at scenario-group granularity, and then
 //! the Figure 6 sweep across the same N workers one GEMM/SpMM point
 //! at a time, largest first (`0` or omitted: auto-detect the core
@@ -51,11 +51,9 @@
 //!
 //! `--perf` times the simulator against itself: each representative
 //! kernel is recorded once and replayed through every pipeline phase
-//! (decode-only, batch warm, batch timed, per-instruction reference),
-//! printing ns/instr per phase and **instructions simulated per
-//! second** as the headline — and asserting the batch and
-//! per-instruction paths agree bit for bit. Defaults to the quick
-//! scale unless `--scale` is given.
+//! (decode-only, warm, timed), printing ns/instr per phase and
+//! **instructions simulated per second** as the headline. Defaults to
+//! the quick scale unless `--scale` is given.
 //!
 //! `--bench-gate current.json baseline.json` compares the
 //! element-throughput benches of a `cargo bench` JSON report
@@ -141,9 +139,11 @@ fn value_of(flag: &str, args: &mut impl Iterator<Item = String>) -> String {
     }
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
+/// The flag's value parsed as `T`, or exit 2 with a diagnostic naming
+/// the flag and the reason.
+fn parse_num<T: std::str::FromStr<Err: std::fmt::Display>>(flag: &str, raw: &str) -> T {
     raw.parse()
-        .unwrap_or_else(|_| die(&format!("invalid {flag} value `{raw}`")))
+        .unwrap_or_else(|e| die(&format!("invalid {flag} value `{raw}`: {e}")))
 }
 
 /// Every `<what>` token the report generator understands.
@@ -181,7 +181,7 @@ fn main() {
                 scale_explicit = true;
             }
             "--scale" => {
-                scale = Scale(parse_num("--scale", &value_of("--scale", &mut args)));
+                scale = parse_num("--scale", &value_of("--scale", &mut args));
                 scale_explicit = true;
             }
             "--seed" => {

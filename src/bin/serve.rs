@@ -55,9 +55,11 @@ fn value_of(flag: &str, args: &mut impl Iterator<Item = String>) -> String {
     }
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
+/// The flag's value parsed as `T`, or exit 2 with a diagnostic naming
+/// the flag and the reason.
+fn parse_num<T: std::str::FromStr<Err: std::fmt::Display>>(flag: &str, raw: &str) -> T {
     raw.parse()
-        .unwrap_or_else(|_| die(&format!("invalid {flag} value `{raw}`")))
+        .unwrap_or_else(|e| die(&format!("invalid {flag} value `{raw}`: {e}")))
 }
 
 fn main() {
@@ -72,9 +74,7 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => config.scale = Scale::quick(),
-            "--scale" => {
-                config.scale = Scale(parse_num("--scale", &value_of("--scale", &mut args)))
-            }
+            "--scale" => config.scale = parse_num("--scale", &value_of("--scale", &mut args)),
             "--seed" => config.seed = parse_num("--seed", &value_of("--seed", &mut args)),
             "--workers" => {
                 config.workers = parse_num("--workers", &value_of("--workers", &mut args));

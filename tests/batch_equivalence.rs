@@ -1,22 +1,23 @@
 //! Batch-step equivalence: the devirtualized hot loop must be
 //! invisible in the results.
 //!
-//! The replay engine's fast path decodes recorded streams into
-//! resident instruction batches (`replay_batches`) and steps them
-//! through monomorphic `warm_batch`/`step_batch` loops; the reference
-//! path delivers the same stream one virtual `TraceSink::on_instr`
-//! call at a time. These tests hold the two paths to exact
-//! `SimResult` equality on one stream per library — every core it
-//! fans out to — and pin the double-buffered (threaded) store replay
-//! to the in-memory batch path bit for bit. `CoreModel::step` is
-//! itself `step_batch` over one instruction, and the golden suite pins
-//! the batch path across the whole plan, so one stream per library is
-//! enough to catch a divergence in the per-instruction sink adapter.
+//! The replay engine decodes recorded streams into resident
+//! instruction batches (`replay_batches`) and steps them through
+//! monomorphic `warm_batch`/`step_batch` loops. The model carries its
+//! scheduler state across calls, so where the batch boundaries fall
+//! must never matter. These tests hold single-instruction, odd-sized
+//! and full-arena splits of one stream per library to exact
+//! `SimResult` equality with the recording's own arenas — every core
+//! the stream fans out to — and pin the double-buffered (threaded)
+//! store replay to the in-memory batch path bit for bit. The golden
+//! suite pins the batch path across the whole plan, so one stream per
+//! library is enough to catch a batch-boundary divergence.
 
 use swan_core::{
     execution_groups, filter_plan, plan, record_group, Scale, ScenarioFilter, TraceStore,
 };
 use swan_simd::trace::{HashSink, TraceSink};
+use swan_simd::TraceInstr;
 use swan_uarch::{CoreConfig, MultiCore, SimResult};
 
 const GOLDEN_SEED: u64 = 42;
@@ -32,23 +33,34 @@ fn run_batched(rec: &mut swan_core::GroupRecording, cfgs: &[CoreConfig]) -> Vec<
     multi.finalize()
 }
 
-/// Warm + timed per-instruction replay (virtual dispatch through the
-/// `TraceSink` impl, one `step` per instruction) — the reference.
-fn run_per_instr(rec: &mut swan_core::GroupRecording, cfgs: &[CoreConfig]) -> Vec<SimResult> {
+/// Warm + timed replay of a decoded stream, split into batches of
+/// `warm_cap` and `timed_cap` instructions.
+fn run_split(
+    stream: &[TraceInstr],
+    cfgs: &[CoreConfig],
+    warm_cap: usize,
+    timed_cap: usize,
+) -> Vec<SimResult> {
     let mut multi = MultiCore::new(cfgs);
     multi.begin_warm();
-    rec.replay_into(&mut multi);
+    for b in stream.chunks(warm_cap) {
+        multi.warm_batch(b);
+    }
     multi.begin_timed();
-    rec.replay_into(&mut multi);
+    for b in stream.chunks(timed_cap) {
+        multi.step_batch(b);
+    }
     multi.finalize()
 }
 
-/// Per-instruction stepping equals batch stepping, `SimResult` field
-/// for field, on the Neon@128 stream of each library's first kernel
-/// (one scenario group per library, replayed into every core of the
-/// group — the Figure 5(b) sweep included for representatives).
+/// Batches of 1, 7 and 8192 instructions — each used once for the warm
+/// pass and once for the timed pass — equal the recording's own
+/// `replay_batches` arenas, `SimResult` field for field, on the
+/// Neon@128 stream of each library's first kernel (one scenario group
+/// per library, replayed into every core of the group — the Figure
+/// 5(b) sweep included for representatives).
 #[test]
-fn batch_stepping_matches_per_instruction_on_one_stream_per_library() {
+fn batch_boundaries_never_change_results_on_one_stream_per_library() {
     let kernels = swan_kernels::all_kernels();
     let neon = ScenarioFilter::parse("impl=neon,width=128").expect("filter");
     let scenarios = filter_plan(&plan(&kernels, Scale::test(), GOLDEN_SEED), &[neon]);
@@ -69,14 +81,19 @@ fn batch_stepping_matches_per_instruction_on_one_stream_per_library() {
             None,
         );
         let cfgs: Vec<CoreConfig> = group.iter().map(|&i| scenarios[i].core.config()).collect();
-        let reference = run_per_instr(&mut rec, &cfgs);
-        let batched = run_batched(&mut rec, &cfgs);
-        assert_eq!(
-            reference,
-            batched,
-            "{}: batch stepping diverged from per-instruction stepping",
-            sc0.stream_id()
-        );
+        let reference = run_batched(&mut rec, &cfgs);
+        let mut stream = Vec::new();
+        rec.replay_batches(|b| stream.extend_from_slice(b));
+        assert_eq!(stream.len() as u64, rec.data.total());
+        for (warm_cap, timed_cap) in [(1, 7), (7, 8192), (8192, 1)] {
+            assert_eq!(
+                reference,
+                run_split(&stream, &cfgs, warm_cap, timed_cap),
+                "{}: batches of {warm_cap} (warm) / {timed_cap} (timed) diverged \
+                 from the recording's arenas",
+                sc0.stream_id()
+            );
+        }
     }
 }
 

@@ -10,8 +10,9 @@
 //! kernels, tracer, or timing model shows up as a reviewable diff
 //! (regenerate with `swan-report --write-golden tests/golden/suite.json`).
 
-use swan_core::{capture, golden, plan, Impl, Scale, TraceStore};
-use swan_simd::Width;
+use swan_core::{golden, plan, Impl, Kernel, Scale, TraceStore};
+use swan_simd::trace::stream_into;
+use swan_simd::{TraceData, TraceInstr, VecSink, Width};
 
 /// The committed baseline's parameters: quick scale, seed 42.
 const GOLDEN_SEED: u64 = 42;
@@ -87,10 +88,18 @@ fn golden_suite_reproduces_and_matches_baseline() {
     }
 }
 
+/// One fresh instance's histograms and complete dynamic trace, streamed
+/// into memory.
+fn materialize(kernel: &dyn Kernel, imp: Impl) -> (TraceData, Vec<TraceInstr>) {
+    let mut inst = kernel.instantiate(Scale::test(), 9);
+    let (data, trace, ()) = stream_into(VecSink::default(), || inst.run(imp, Width::W128));
+    (data, trace.instrs)
+}
+
 /// The stronger form of trace byte-identity for a representative
-/// sample: the *complete materialized* `TraceData` — every
-/// `TraceInstr` including virtualized addresses — is equal across two
-/// fresh instantiations, which is exactly what host-layout
+/// sample: the *complete materialized* trace — every `TraceInstr`
+/// including virtualized addresses — is equal across two fresh
+/// instantiations, which is exactly what host-layout
 /// independence means (the second instance's buffers live at
 /// different host addresses).
 #[test]
@@ -102,11 +111,11 @@ fn materialized_traces_are_instantiation_independent() {
             .find(|k| k.meta().id() == id)
             .expect("representative kernel");
         for imp in [Impl::Scalar, Impl::Neon] {
-            let (a, _) = capture(kernel.as_ref(), imp, Width::W128, Scale::test(), 9);
-            let (b, _) = capture(kernel.as_ref(), imp, Width::W128, Scale::test(), 9);
-            assert_eq!(a.by_op, b.by_op, "{id} {imp:?}");
+            let (a_hist, a) = materialize(kernel.as_ref(), imp);
+            let (b_hist, b) = materialize(kernel.as_ref(), imp);
+            assert_eq!(a_hist, b_hist, "{id} {imp:?}");
             assert_eq!(
-                a.instrs, b.instrs,
+                a, b,
                 "{id} {imp:?}: traces from two instantiations must be \
                  bit-identical (addresses included)"
             );

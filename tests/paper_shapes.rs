@@ -5,7 +5,7 @@
 use swan::prelude::*;
 use swan_accel::{GpuModel, NEON_PEAK_MACS_PER_SEC};
 use swan_core::report::{self, FIG5_KERNELS};
-use swan_core::{capture, simulate_trace, Library};
+use swan_core::{measure, Library};
 use swan_kernels::xp::{GemmF32, Shape};
 
 fn find(kernels: &[Box<dyn Kernel>], lib: &str, name: &str) -> usize {
@@ -96,11 +96,11 @@ fn wider_registers_help_streaming_more_than_blocked_kernels() {
     let kernels = swan::suite();
     let speedup_1024 = |lib: &str, name: &str| {
         let k = &kernels[find(&kernels, lib, name)];
-        let (t128, ops) = capture(k.as_ref(), Impl::Neon, Width::W128, Scale::test(), 2);
-        let (t1024, _) = capture(k.as_ref(), Impl::Neon, Width::W1024, Scale::test(), 2);
-        let base = simulate_trace(&t128, &prime, 1.0, ops).sim.cycles as f64;
-        let wide = simulate_trace(&t1024, &prime, 8.0, ops).sim.cycles as f64;
-        base / wide
+        let cycles = |w| {
+            let m = measure(k.as_ref(), Impl::Neon, w, &prime, Scale::test(), 2);
+            m.sim.cycles as f64
+        };
+        cycles(Width::W128) / cycles(Width::W1024)
     };
     let streaming = speedup_1024("SK", "convolve_vertical");
     let blocked = speedup_1024("LW", "tm_predict");
@@ -123,9 +123,8 @@ fn gpu_crossover_is_in_the_mflop_range() {
         n: 512,
     };
     let kernel = GemmF32::with_shape(shape);
-    let (tr, macs) = capture(&kernel, Impl::Neon, Width::W128, Scale(1.0), 3);
-    let m = simulate_trace(&tr, &prime, 1.0, macs);
-    let neon_rate = macs as f64 / m.seconds();
+    let m = measure(&kernel, Impl::Neon, Width::W128, &prime, Scale(1.0), 3);
+    let neon_rate = m.work_ops as f64 / m.seconds();
     assert!(
         neon_rate < NEON_PEAK_MACS_PER_SEC,
         "effective rate cannot exceed peak"

@@ -1,21 +1,23 @@
-//! Streaming/batch equivalence: the sink-based measurement pipeline
-//! must produce bit-identical results to materialize-then-replay.
+//! Record/replay equivalence: a campaign measured from recorded
+//! streams must equal one measured from live execution, bit for bit.
 //!
-//! The streaming runner executes one kernel instance twice (cache
-//! warm-up pass + timed pass) instead of capturing a trace and
-//! replaying it twice, so these tests pin down the two facts that make
-//! that equivalent: (1) re-running an instance reproduces its dynamic
-//! trace exactly (same buffers, same addresses, same control flow),
-//! and (2) the incremental core model consumes a stream identically to
-//! a batch replay.
+//! Every scenario group's kernel executes once under the recorder and
+//! its recording is replayed into every core model, warm then timed.
+//! These tests pin the facts that make that sound: re-running an
+//! instance reproduces its dynamic trace exactly (same buffers, same
+//! addresses, same control flow); a replayed campaign equals a
+//! reference that simulates freshly executed, materialized streams;
+//! results do not depend on plan order, filtering, thread count or
+//! process sharding; and each group executes its kernel exactly once.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use swan::prelude::*;
 use swan_core::Runnable;
-use swan_simd::trace::{stream_into, Mode, Session};
-use swan_uarch::{MultiCore, SimResult};
+use swan_simd::trace::{stream_into, stream_into_at};
+use swan_simd::{RecordSink, VecSink};
+use swan_uarch::SimResult;
 
 const SEED: u64 = 7;
 
@@ -32,98 +34,32 @@ fn execute(
     campaign.execute(kernels, plan, |_| {}).complete()
 }
 
-fn trace_of(inst: &mut dyn swan_core::Runnable, imp: Impl, w: Width) -> swan_simd::TraceData {
-    let sess = Session::begin(Mode::Full);
-    inst.run(imp, w);
-    sess.finish()
-}
-
-/// (1) Re-running the same instance reproduces the dynamic trace
+/// Re-running the same instance reproduces the dynamic trace
 /// bit-for-bit — for every kernel and implementation in the suite,
-/// and across *capture modes*: the first run is a batch capture
-/// (`Mode::Full`, whose growing instruction `Vec` perturbs the
-/// allocator mid-run) and the second streams into a sink through a
-/// closure (different call stack, no materialization). Any traced
-/// address that depends on a run-local temporary's location — stack
-/// frame or heap chunk — fails here.
+/// and across *capture sinks*: the first run materializes into a
+/// `VecSink` (whose growing instruction `Vec` perturbs the allocator
+/// mid-run) and the second records through the codec (chunked
+/// encoding, a different allocation pattern), whose replay must equal
+/// the first. Any traced address that depends on a run-local
+/// temporary's location — stack frame or heap chunk — fails here.
 #[test]
 fn every_kernel_rerun_reproduces_its_trace() {
     for kernel in swan::suite() {
         for imp in [Impl::Scalar, Impl::Auto, Impl::Neon] {
             let mut inst = kernel.instantiate(Scale::test(), SEED);
-            let batch = trace_of(inst.as_mut(), imp, Width::W128);
-            let (streamed, sink, ()) =
-                stream_into(swan_simd::VecSink::default(), || inst.run(imp, Width::W128));
-            assert_eq!(
-                batch.by_op,
-                streamed.by_op,
-                "{} {imp:?}",
-                kernel.meta().id()
-            );
-            assert_eq!(
-                batch.instrs,
-                sink.instrs,
-                "{} {imp:?}: streamed rerun must replay the identical stream \
+            let (first, live, ()) = stream_into(VecSink::default(), || inst.run(imp, Width::W128));
+            let (second, rec, ()) = stream_into(RecordSink::new(), || inst.run(imp, Width::W128));
+            assert_eq!(first, second, "{} {imp:?}", kernel.meta().id());
+            let mut replayed = Vec::with_capacity(live.instrs.len());
+            rec.finish()
+                .replay_batches(|b| replayed.extend_from_slice(b));
+            assert!(
+                live.instrs == replayed,
+                "{} {imp:?}: the rerun must replay the identical stream \
                  (a mismatch usually means a traced address depends on a \
                  run-local temporary — hoist the buffer into instance state)",
                 kernel.meta().id()
             );
-        }
-    }
-}
-
-/// (2) Streaming a kernel into fan-out core models equals capturing
-/// once and batch-replaying, bit for bit, across implementations,
-/// widths, and core configurations.
-#[test]
-fn streaming_measurement_equals_batch_replay() {
-    let kernels = swan::suite();
-    // Includes the two kernels that needed scratch buffers hoisted
-    // into instance state (upsample_h2v1, crc32) — regression guards
-    // for address-stable reruns.
-    let reps = [
-        ("ZL", "adler32"),
-        ("ZL", "crc32"),
-        ("LJ", "rgb_to_ycbcr"),
-        ("LJ", "upsample_h2v1"),
-        ("XP", "gemm_f32"),
-    ];
-    let cfgs = [
-        CoreConfig::prime(),
-        CoreConfig::gold(),
-        CoreConfig::silver(),
-    ];
-    for (lib, name) in reps {
-        let kernel = kernels
-            .iter()
-            .find(|k| k.meta().library.info().symbol == lib && k.meta().name == name)
-            .expect("representative kernel");
-        for (imp, w) in [
-            (Impl::Scalar, Width::W128),
-            (Impl::Neon, Width::W128),
-            (Impl::Neon, Width::W512),
-        ] {
-            let mut inst = kernel.instantiate(Scale::test(), SEED);
-
-            // Batch reference: capture one run, warm + timed replay.
-            let tr = trace_of(inst.as_mut(), imp, w);
-            let batch: Vec<_> = cfgs.iter().map(|c| swan_uarch::simulate(&tr, c)).collect();
-
-            // Streaming: two more executions of the same instance
-            // drive all three models through the fan-out sink.
-            let mut multi = MultiCore::new(&cfgs);
-            multi.begin_warm();
-            let (_, mut multi, ()) = stream_into(multi, || inst.run(imp, w));
-            multi.begin_timed();
-            let (data, mut multi, ()) = stream_into(multi, || inst.run(imp, w));
-            let streamed = multi.finalize();
-
-            assert_eq!(
-                batch, streamed,
-                "{lib}.{name} {imp:?}@{w}: streaming != batch"
-            );
-            assert_eq!(data.by_op, tr.by_op, "{lib}.{name} {imp:?}@{w}: histograms");
-            assert!(data.instrs.is_empty(), "streaming must not materialize");
         }
     }
 }
@@ -162,10 +98,6 @@ fn fanout_measurements_are_consistent_with_single_measures() {
     for m in &multi {
         assert_eq!(m.trace.total(), multi[0].trace.total());
         assert_eq!(m.sim.instrs, m.trace.total());
-        assert!(
-            m.trace.instrs.is_empty(),
-            "measurements keep histograms only"
-        );
     }
 
     let single = measure(
@@ -239,9 +171,9 @@ fn permuted_and_filtered_plans_are_scenario_bit_identical() {
 
 /// Differential proof of replay ≡ execute at campaign level: the
 /// record-once/replay-many executor must produce *exact* `SimResult`
-/// equality with a functional-execution reference (a fresh
-/// materialized capture batch-replayed per scenario) — at thread
-/// counts {1, 2, 7} and under a permuted plan.
+/// equality with a functional-execution reference (a fresh stream
+/// materialized into a `VecSink` and simulated per scenario) — at
+/// thread counts {1, 2, 7} and under a permuted plan.
 #[test]
 fn replayed_campaign_matches_functionally_executed_campaign() {
     let kernels: Vec<_> = swan::suite().into_iter().take(4).collect();
@@ -251,20 +183,16 @@ fn replayed_campaign_matches_functionally_executed_campaign() {
     // materialize the trace, and batch warm+timed simulate each
     // scenario's core from it — the paper's capture-then-replay flow
     // with no codec anywhere in the path.
-    let mut captures: HashMap<String, swan_simd::TraceData> = HashMap::new();
+    let mut streams: HashMap<String, Vec<swan_simd::TraceInstr>> = HashMap::new();
     let mut reference: HashMap<String, SimResult> = HashMap::new();
     for sc in &plan {
-        let tr = captures.entry(sc.stream_id()).or_insert_with(|| {
-            let (tr, _) = swan_core::capture(
-                kernels[sc.kernel].as_ref(),
-                sc.imp,
-                sc.width,
-                sc.scale,
-                sc.seed,
-            );
-            tr
+        let stream = streams.entry(sc.stream_id()).or_insert_with(|| {
+            let mut inst = kernels[sc.kernel].instantiate(sc.scale, sc.seed);
+            let (_, live, ()) =
+                stream_into_at(sc.width, VecSink::default(), || inst.run(sc.imp, sc.width));
+            live.instrs
         });
-        reference.insert(sc.id(), swan_uarch::simulate(tr, &sc.core.config()));
+        reference.insert(sc.id(), swan_uarch::simulate(stream, &sc.core.config()));
     }
 
     for threads in [1, 2, 7] {
