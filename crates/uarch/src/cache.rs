@@ -3,6 +3,12 @@
 //! system of the paper's Table 3.
 
 /// Parameters of one cache level.
+///
+/// The line size and the set count `size / (ways * line)` must both
+/// be powers of two, so a set is picked with a mask and a line with a
+/// shift; [`CacheHierarchy::new`] panics otherwise, naming the level.
+/// Every level is indexed by the L1D line, so the outer levels' `line`
+/// only sets their set count.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
@@ -96,38 +102,63 @@ impl CacheStats {
     }
 }
 
-/// One set-associative cache level; tags ordered most-recent-first.
+/// One set-associative cache level, stored flat: `sets × ways` line
+/// tags, set `s` at `tags[s * ways..][..ways]`, most-recent-first,
+/// with the first `fill[s]` ways valid. Every operation is a scan and
+/// an in-place rotation within one set's slice, so the level never
+/// allocates after construction.
 #[derive(Debug)]
 struct Level {
-    cfg: CacheConfig,
-    sets: Vec<Vec<u64>>, // line tags, MRU at index 0
+    latency: u32,
+    ways: usize,
+    /// `sets - 1`; the set count is a power of two.
+    mask: u64,
+    tags: Vec<u64>,
+    fill: Vec<u32>,
     stats: CacheStats,
 }
 
 impl Level {
-    fn new(cfg: CacheConfig) -> Level {
-        let sets = vec![Vec::new(); cfg.sets()];
+    fn new(name: &str, cfg: &CacheConfig) -> Level {
+        assert!(
+            cfg.line.is_power_of_two(),
+            "{name}: line size {} is not a power of two",
+            cfg.line
+        );
+        let sets = cfg.sets();
+        assert!(
+            sets.is_power_of_two(),
+            "{name}: set count {sets} (size {} / ({} ways x {} B lines)) is not a power of two",
+            cfg.size,
+            cfg.ways,
+            cfg.line
+        );
         Level {
-            cfg,
-            sets,
+            latency: cfg.latency,
+            ways: cfg.ways,
+            mask: sets as u64 - 1,
+            tags: vec![0; sets * cfg.ways],
+            fill: vec![0; sets],
             stats: CacheStats::default(),
         }
     }
 
-    fn set_index(&self, line_addr: u64) -> usize {
-        (line_addr as usize) % self.sets.len()
+    /// The set a line maps to: its index and the offset of its ways in
+    /// `tags`.
+    fn locate(&self, line: u64) -> (usize, usize) {
+        let si = (line & self.mask) as usize;
+        (si, si * self.ways)
     }
 
     /// Look up a line; on hit promote to MRU. Returns hit.
-    fn probe(&mut self, line_addr: u64, demand: bool) -> bool {
+    fn probe(&mut self, line: u64, demand: bool) -> bool {
         if demand {
             self.stats.accesses += 1;
         }
-        let si = self.set_index(line_addr);
-        let set = &mut self.sets[si];
-        if let Some(pos) = set.iter().position(|&t| t == line_addr) {
-            let t = set.remove(pos);
-            set.insert(0, t);
+        let (si, base) = self.locate(line);
+        let set = &mut self.tags[base..base + self.fill[si] as usize];
+        if let Some(pos) = set.iter().position(|&t| t == line) {
+            set[..=pos].rotate_right(1);
             true
         } else {
             if demand {
@@ -138,51 +169,67 @@ impl Level {
     }
 
     /// Insert a line as MRU, evicting LRU if needed. Returns the
-    /// evicted line, if any.
-    fn fill(&mut self, line_addr: u64) -> Option<u64> {
-        let ways = self.cfg.ways;
-        let si = self.set_index(line_addr);
-        let set = &mut self.sets[si];
-        if set.contains(&line_addr) {
+    /// evicted line, if any. A resident line is left where it is.
+    fn fill(&mut self, line: u64) -> Option<u64> {
+        let (si, base) = self.locate(line);
+        let set = &mut self.tags[base..base + self.ways];
+        let n = self.fill[si] as usize;
+        if set[..n].contains(&line) {
             return None;
         }
-        set.insert(0, line_addr);
-        if set.len() > ways {
-            set.pop()
+        let victim = if n == self.ways {
+            Some(set[n - 1])
         } else {
+            self.fill[si] += 1;
             None
-        }
+        };
+        // Shift the valid ways down one (dropping the LRU when full).
+        set[..n.min(self.ways - 1) + 1].rotate_right(1);
+        set[0] = line;
+        victim
     }
 
-    fn invalidate(&mut self, line_addr: u64) {
-        let si = self.set_index(line_addr);
-        self.sets[si].retain(|&t| t != line_addr);
+    /// Drop a line if resident, keeping the other ways in order.
+    fn invalidate(&mut self, line: u64) {
+        let (si, base) = self.locate(line);
+        let set = &mut self.tags[base..base + self.fill[si] as usize];
+        if let Some(pos) = set.iter().position(|&t| t == line) {
+            set[pos..].rotate_left(1);
+            self.fill[si] -= 1;
+        }
     }
 }
 
-/// The three-level hierarchy plus DRAM-access counting.
+/// The three-level hierarchy plus DRAM-access counting. All levels are
+/// tagged by line index (`addr >> line_shift`, the L1D line size).
 #[derive(Debug)]
 pub struct CacheHierarchy {
     l1: Level,
     l2: Level,
     llc: Level,
+    line_shift: u32,
     dram_latency: u32,
     prefetch_degree: u32,
     dram_accesses: u64,
-    prefetches: u64,
 }
 
 impl CacheHierarchy {
-    /// Build a hierarchy from a [`MemConfig`].
+    /// Build a hierarchy from a [`MemConfig`], allocating all cache
+    /// state up front.
+    ///
+    /// # Panics
+    ///
+    /// If a level's line size or set count is not a power of two (see
+    /// [`CacheConfig`]); the message names the level.
     pub fn new(cfg: &MemConfig) -> CacheHierarchy {
         CacheHierarchy {
-            l1: Level::new(cfg.l1d.clone()),
-            l2: Level::new(cfg.l2.clone()),
-            llc: Level::new(cfg.llc.clone()),
+            l1: Level::new("l1d", &cfg.l1d),
+            l2: Level::new("l2", &cfg.l2),
+            llc: Level::new("llc", &cfg.llc),
+            line_shift: cfg.l1d.line.trailing_zeros(),
             dram_latency: cfg.dram_latency,
             prefetch_degree: cfg.prefetch_degree,
             dram_accesses: 0,
-            prefetches: 0,
         }
     }
 
@@ -190,10 +237,14 @@ impl CacheHierarchy {
     /// latency in cycles. Stores update state identically but their
     /// latency is hidden by the store buffer in the core model.
     pub fn access_line(&mut self, addr: u64) -> u32 {
-        let line = addr / self.l1.cfg.line as u64;
+        self.demand_line(addr >> self.line_shift)
+    }
+
+    /// Demand access of one line index, with next-line prefetch on a
+    /// miss anywhere.
+    fn demand_line(&mut self, line: u64) -> u32 {
         let lat = self.access_line_inner(line, true);
-        if lat > self.l1.cfg.latency {
-            // Miss somewhere: next-line prefetch.
+        if lat > self.l1.latency {
             for d in 1..=self.prefetch_degree as u64 {
                 self.prefetch_line(line + d);
             }
@@ -203,17 +254,17 @@ impl CacheHierarchy {
 
     fn access_line_inner(&mut self, line: u64, demand: bool) -> u32 {
         if self.l1.probe(line, demand) {
-            return self.l1.cfg.latency;
+            return self.l1.latency;
         }
         let lat = if self.l2.probe(line, demand) {
-            self.l2.cfg.latency
+            self.l2.latency
         } else if self.llc.probe(line, demand) {
-            self.llc.cfg.latency
+            self.llc.latency
         } else {
             if demand {
                 self.dram_accesses += 1;
             }
-            self.llc.cfg.latency + self.dram_latency
+            self.llc.latency + self.dram_latency
         };
         // Fill inclusively; LLC evictions back-invalidate inner levels.
         if let Some(victim) = self.llc.fill(line) {
@@ -228,7 +279,6 @@ impl CacheHierarchy {
     }
 
     fn prefetch_line(&mut self, line: u64) {
-        self.prefetches += 1;
         if !self.l1.probe(line, false) {
             if !self.l2.probe(line, false) && !self.llc.probe(line, false) {
                 self.dram_accesses += 1;
@@ -247,12 +297,11 @@ impl CacheHierarchy {
     /// Access a byte range, touching every line it covers; returns the
     /// worst line latency plus one extra cycle per additional line.
     pub fn access(&mut self, addr: u64, bytes: u32) -> u32 {
-        let line = self.l1.cfg.line as u64;
-        let first = addr / line;
-        let last = (addr + bytes.max(1) as u64 - 1) / line;
+        let first = addr >> self.line_shift;
+        let last = (addr + bytes.max(1) as u64 - 1) >> self.line_shift;
         let mut worst = 0;
-        for l in first..=last {
-            worst = worst.max(self.access_line(l * line));
+        for line in first..=last {
+            worst = worst.max(self.demand_line(line));
         }
         worst + (last - first) as u32
     }
@@ -274,7 +323,197 @@ impl CacheHierarchy {
         self.l2.stats = CacheStats::default();
         self.llc.stats = CacheStats::default();
         self.dram_accesses = 0;
-        self.prefetches = 0;
+    }
+}
+
+/// A direct implementation of the same hierarchy — one heap `Vec` per
+/// set, `remove`/`insert` for LRU order, divisions for the line and set
+/// index — kept as the reference the flat [`CacheHierarchy`] is checked
+/// against.
+#[cfg(test)]
+mod reference {
+    use super::{CacheConfig, CacheStats, MemConfig};
+
+    /// One set-associative cache level; tags ordered most-recent-first.
+    #[derive(Debug)]
+    struct Level {
+        cfg: CacheConfig,
+        sets: Vec<Vec<u64>>, // line tags, MRU at index 0
+        stats: CacheStats,
+    }
+
+    impl Level {
+        fn new(cfg: CacheConfig) -> Level {
+            let sets = vec![Vec::new(); cfg.sets()];
+            Level {
+                cfg,
+                sets,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set_index(&self, line_addr: u64) -> usize {
+            (line_addr as usize) % self.sets.len()
+        }
+
+        /// Look up a line; on hit promote to MRU. Returns hit.
+        fn probe(&mut self, line_addr: u64, demand: bool) -> bool {
+            if demand {
+                self.stats.accesses += 1;
+            }
+            let si = self.set_index(line_addr);
+            let set = &mut self.sets[si];
+            if let Some(pos) = set.iter().position(|&t| t == line_addr) {
+                let t = set.remove(pos);
+                set.insert(0, t);
+                true
+            } else {
+                if demand {
+                    self.stats.misses += 1;
+                }
+                false
+            }
+        }
+
+        /// Insert a line as MRU, evicting LRU if needed. Returns the
+        /// evicted line, if any.
+        fn fill(&mut self, line_addr: u64) -> Option<u64> {
+            let ways = self.cfg.ways;
+            let si = self.set_index(line_addr);
+            let set = &mut self.sets[si];
+            if set.contains(&line_addr) {
+                return None;
+            }
+            set.insert(0, line_addr);
+            if set.len() > ways {
+                set.pop()
+            } else {
+                None
+            }
+        }
+
+        fn invalidate(&mut self, line_addr: u64) {
+            let si = self.set_index(line_addr);
+            self.sets[si].retain(|&t| t != line_addr);
+        }
+    }
+
+    /// The three-level hierarchy plus DRAM-access counting.
+    #[derive(Debug)]
+    pub struct CacheHierarchy {
+        l1: Level,
+        l2: Level,
+        llc: Level,
+        dram_latency: u32,
+        prefetch_degree: u32,
+        dram_accesses: u64,
+        prefetches: u64,
+    }
+
+    impl CacheHierarchy {
+        /// Build a hierarchy from a [`MemConfig`].
+        pub fn new(cfg: &MemConfig) -> CacheHierarchy {
+            CacheHierarchy {
+                l1: Level::new(cfg.l1d.clone()),
+                l2: Level::new(cfg.l2.clone()),
+                llc: Level::new(cfg.llc.clone()),
+                dram_latency: cfg.dram_latency,
+                prefetch_degree: cfg.prefetch_degree,
+                dram_accesses: 0,
+                prefetches: 0,
+            }
+        }
+
+        /// Access one cache line (by byte address); returns the load-to-use
+        /// latency in cycles. Stores update state identically but their
+        /// latency is hidden by the store buffer in the core model.
+        pub fn access_line(&mut self, addr: u64) -> u32 {
+            let line = addr / self.l1.cfg.line as u64;
+            let lat = self.access_line_inner(line, true);
+            if lat > self.l1.cfg.latency {
+                // Miss somewhere: next-line prefetch.
+                for d in 1..=self.prefetch_degree as u64 {
+                    self.prefetch_line(line + d);
+                }
+            }
+            lat
+        }
+
+        fn access_line_inner(&mut self, line: u64, demand: bool) -> u32 {
+            if self.l1.probe(line, demand) {
+                return self.l1.cfg.latency;
+            }
+            let lat = if self.l2.probe(line, demand) {
+                self.l2.cfg.latency
+            } else if self.llc.probe(line, demand) {
+                self.llc.cfg.latency
+            } else {
+                if demand {
+                    self.dram_accesses += 1;
+                }
+                self.llc.cfg.latency + self.dram_latency
+            };
+            // Fill inclusively; LLC evictions back-invalidate inner levels.
+            if let Some(victim) = self.llc.fill(line) {
+                self.l2.invalidate(victim);
+                self.l1.invalidate(victim);
+            }
+            if let Some(victim) = self.l2.fill(line) {
+                self.l1.invalidate(victim);
+            }
+            self.l1.fill(line);
+            lat
+        }
+
+        fn prefetch_line(&mut self, line: u64) {
+            self.prefetches += 1;
+            if !self.l1.probe(line, false) {
+                if !self.l2.probe(line, false) && !self.llc.probe(line, false) {
+                    self.dram_accesses += 1;
+                    if let Some(victim) = self.llc.fill(line) {
+                        self.l2.invalidate(victim);
+                        self.l1.invalidate(victim);
+                    }
+                }
+                if let Some(victim) = self.l2.fill(line) {
+                    self.l1.invalidate(victim);
+                }
+                self.l1.fill(line);
+            }
+        }
+
+        /// Access a byte range, touching every line it covers; returns the
+        /// worst line latency plus one extra cycle per additional line.
+        pub fn access(&mut self, addr: u64, bytes: u32) -> u32 {
+            let line = self.l1.cfg.line as u64;
+            let first = addr / line;
+            let last = (addr + bytes.max(1) as u64 - 1) / line;
+            let mut worst = 0;
+            for l in first..=last {
+                worst = worst.max(self.access_line(l * line));
+            }
+            worst + (last - first) as u32
+        }
+
+        /// Per-level statistics `(l1, l2, llc)`.
+        pub fn stats(&self) -> (CacheStats, CacheStats, CacheStats) {
+            (self.l1.stats, self.l2.stats, self.llc.stats)
+        }
+
+        /// Demand + prefetch DRAM accesses so far.
+        pub fn dram_accesses(&self) -> u64 {
+            self.dram_accesses
+        }
+
+        /// Reset statistics (keep cache contents) — used between the
+        /// warm-up replay and the timed run.
+        pub fn reset_stats(&mut self) {
+            self.l1.stats = CacheStats::default();
+            self.l2.stats = CacheStats::default();
+            self.llc.stats = CacheStats::default();
+            self.dram_accesses = 0;
+            self.prefetches = 0;
+        }
     }
 }
 
@@ -428,5 +667,107 @@ mod tests {
         };
         assert!((s.miss_rate() - 0.1).abs() < 1e-12);
         assert!((s.mpki(10_000) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "l2: set count 341")]
+    fn non_power_of_two_set_count_is_rejected() {
+        let mut mem = MemConfig::snapdragon855();
+        mem.l2.size = 64 << 10;
+        mem.l2.ways = 3;
+        CacheHierarchy::new(&mem);
+    }
+
+    #[test]
+    #[should_panic(expected = "l1d: line size 48")]
+    fn non_power_of_two_line_is_rejected() {
+        let mut mem = MemConfig::snapdragon855();
+        mem.l1d.line = 48;
+        mem.l1d.size = 48 * 4 * 256;
+        CacheHierarchy::new(&mem);
+    }
+
+    #[test]
+    fn every_registered_core_has_a_valid_hierarchy() {
+        for id in crate::CoreId::ALL {
+            let mut h = CacheHierarchy::new(&id.config().mem);
+            assert!(h.access(0, 64) > 0, "{id}");
+        }
+    }
+
+    /// One access of a random stream: sequential runs, strided walks
+    /// that pile onto a few sets, reuse of recent addresses, and
+    /// scattered touches, each `bytes` long (up to four lines).
+    fn next_access(rng: &mut proptest::TestRng, cursor: &mut u64, recent: &[u64]) -> (u64, u32) {
+        let r = rng.next_u64();
+        let bytes = 1 + (r >> 8) as u32 % 256;
+        let addr = match r % 4 {
+            0 => {
+                *cursor += 1 + (r >> 16) % 96;
+                *cursor
+            }
+            1 => {
+                // Strides of a power of two lines: set conflicts.
+                *cursor += 64 << ((r >> 16) % 10);
+                *cursor
+            }
+            2 => recent[(r >> 16) as usize % recent.len()] + (r >> 32) % 8,
+            _ => (r >> 16) % (1 << 20),
+        };
+        (addr, bytes)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn flat_hierarchy_matches_the_reference(
+            sets in proptest::collection::vec(0u32..=6, 3),
+            ways in proptest::collection::vec(1usize..=8, 3),
+            prefetch_degree in 0u32..=3,
+            len in 1usize..=600,
+            seed: u64,
+        ) {
+            let level = |i: usize, latency| CacheConfig {
+                size: (1 << sets[i]) * ways[i] * 64,
+                ways: ways[i],
+                line: 64,
+                latency,
+            };
+            let mem = MemConfig {
+                l1d: level(0, 4),
+                l2: level(1, 9),
+                llc: level(2, 31),
+                dram_latency: 100,
+                prefetch_degree,
+            };
+            let mut flat = CacheHierarchy::new(&mem);
+            let mut reference = reference::CacheHierarchy::new(&mem);
+            let mut rng = proptest::TestRng::new(seed);
+            let mut cursor = 0u64;
+            let mut recent = [0u64; 16];
+            for i in 0..len {
+                let (addr, bytes) = next_access(&mut rng, &mut cursor, &recent);
+                recent[i % recent.len()] = addr;
+                let (got, want) = if bytes % 8 == 0 {
+                    (flat.access_line(addr), reference.access_line(addr))
+                } else {
+                    (flat.access(addr, bytes), reference.access(addr, bytes))
+                };
+                let at = format!("{mem:?} access {i}: {addr:#x}+{bytes}");
+                proptest::prop_assert_eq!(got, want, "latency at {}", at);
+                proptest::prop_assert_eq!(flat.stats(), reference.stats(), "stats at {}", at);
+                proptest::prop_assert_eq!(
+                    flat.dram_accesses(),
+                    reference.dram_accesses(),
+                    "dram at {}",
+                    at
+                );
+                if bytes == 256 {
+                    flat.reset_stats();
+                    reference.reset_stats();
+                }
+            }
+        }
     }
 }

@@ -259,10 +259,10 @@ impl Pool {
 }
 
 /// Per-run scheduler state of the incremental core model. Reset by
-/// [`CoreModel::begin_timed`]; advanced by [`CoreModel::step_batch`]
-/// (and its single-instruction wrapper [`CoreModel::step`]). This is
-/// the entire O(core window) resident state of a measurement — the
-/// trace itself is never materialized.
+/// [`CoreModel::begin_timed`] and [`CoreModel::finalize`]; advanced by
+/// the timed phase of [`CoreModel::step_batch`]. This is the entire
+/// O(core window) resident state of a measurement — the trace itself
+/// is never materialized.
 struct Sched {
     ready: ReadyRing,
     // Functional-unit pools, indexed by `Fu as usize`.
@@ -274,8 +274,10 @@ struct Sched {
     commit_cycle: u64,
     committed_in_cycle: u32,
     last_commit: u64,
-    // ROB occupancy: commit cycles of the last `rob` instructions.
+    // ROB occupancy: commit cycles of the last `rob` instructions;
+    // `rob_pos` is the slot of instruction `idx` (`idx % rob`).
     rob_ring: Vec<u64>,
+    rob_pos: usize,
     idx: usize,
     last_issue: u64,
     fe_stalls: u64,
@@ -303,6 +305,7 @@ impl Sched {
             committed_in_cycle: 0,
             last_commit: 0,
             rob_ring: vec![0; cfg.rob as usize],
+            rob_pos: 0,
             idx: 0,
             last_issue: 0,
             fe_stalls: 0,
@@ -326,6 +329,7 @@ impl Sched {
         self.committed_in_cycle = 0;
         self.last_commit = 0;
         self.rob_ring.fill(0);
+        self.rob_pos = 0;
         self.idx = 0;
         self.last_issue = 0;
         self.fe_stalls = 0;
@@ -456,6 +460,7 @@ impl CoreModel {
         let mispredict_per_mille = self.cfg.mispredict_per_mille as u64;
         let mispredict_penalty = self.cfg.mispredict_penalty as u64;
         let rob = s.rob_ring.len();
+        let mut rob_pos = s.rob_pos;
         for ins in batch {
             s.by_op[ins.op as usize] += 1;
             s.by_class[ins.class as usize] += 1;
@@ -468,7 +473,7 @@ impl CoreModel {
             s.fetched_in_cycle += 1;
 
             // --- dispatch: ROB space ---
-            let rob_free = s.rob_ring[s.idx % rob];
+            let rob_free = s.rob_ring[rob_pos];
             let mut dispatch = s.fetch_cycle;
             if rob_free > dispatch {
                 // Attribute the blocked interval once (intervals are
@@ -540,10 +545,15 @@ impl CoreModel {
                 s.committed_in_cycle = 0;
             }
             s.committed_in_cycle += 1;
-            s.rob_ring[s.idx % rob] = c;
+            s.rob_ring[rob_pos] = c;
+            rob_pos += 1;
+            if rob_pos == rob {
+                rob_pos = 0;
+            }
             s.last_commit = c;
             s.idx += 1;
         }
+        s.rob_pos = rob_pos;
     }
 
     /// Finish a timed run: aggregate statistics, reset the scheduler
