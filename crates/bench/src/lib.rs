@@ -18,7 +18,8 @@ pub use swan_core::perf::{find, REPRESENTATIVES};
 
 /// Trace + simulate one configuration end to end (what one data point
 /// of Figures 2-5 costs): [`swan_core::measure`] records the kernel
-/// once and replays the recording warm + timed into the core model.
+/// once while it warms the core model, then replays the recording
+/// once, timed.
 pub fn measure_point(
     kernel: &dyn Kernel,
     imp: Impl,

@@ -8,10 +8,10 @@
 //! workers: scenarios sharing one instruction stream (same kernel,
 //! implementation, width — [`Scenario::stream_id`]) are measured from
 //! a *single* functional execution, recorded through the trace codec
-//! and replayed (warm pass + timed pass) into every member's core
-//! model, so the shard unit is a stream group, far finer than a whole
-//! kernel, and the emulator runs each stream only once. [`aggregate`]
-//! folds per-scenario [`Measurement`]s back into
+//! while it warms every member's core model, then replayed once, timed,
+//! into those models, so the shard unit is a stream group, far finer
+//! than a whole kernel, and the emulator runs each stream only once.
+//! [`aggregate`] folds per-scenario [`Measurement`]s back into
 //! [`KernelResults`]/[`SuiteResults`], so every `report::fig*/tab*`
 //! generator consumes the same shapes as before.
 //!
@@ -23,14 +23,14 @@
 use crate::checkpoint::CampaignJournal;
 use crate::kernel::{Impl, Kernel, KernelMeta, Scale};
 use crate::report::{KernelResults, SuiteResults, FIG5_KERNELS};
-use crate::runner::{measure_recorded, record_group, width_factor, GroupRecording, Measurement};
+use crate::runner::{measure_warmed, record_warmed, width_factor, GroupRecording, Measurement};
 use crate::scenario::Scenario;
 use crate::tracestore::TraceStore;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use swan_simd::Width;
-use swan_uarch::{CoreConfig, CoreId};
+use swan_uarch::{CoreConfig, CoreId, MultiCore};
 
 /// Run `work(i)` for `i in 0..n` across up to `workers` scoped
 /// threads (1 = inline on the caller), returning the results in index
@@ -258,9 +258,9 @@ impl CampaignRun {
 impl Campaign<'_> {
     /// Execute every scenario of `plan`, returning one slot per
     /// scenario in plan order. Each group not resumed from the journal
-    /// or left to another shard is recorded once ([`record_group`]) and
-    /// replayed warm + timed into one core model per member scenario
-    /// ([`measure_recorded`]). A panicking group becomes one
+    /// or left to another shard is recorded once while it warms one core
+    /// model per member scenario, then replayed once, timed, into those
+    /// models (see [`crate::runner`]). A panicking group becomes one
     /// [`KernelFailure`] and never poisons its siblings. Results are
     /// bit-identical for every thread count, store state, journal state
     /// and plan order. `progress` receives one status line per
@@ -297,10 +297,9 @@ impl Campaign<'_> {
             self.threads,
             self.store,
             &progress,
-            |rec, group| {
+            |rec, cores, cfgs, group| {
                 let sc = &plan[group[0]];
-                let cfgs: Vec<CoreConfig> = group.iter().map(|&i| plan[i].core.config()).collect();
-                let ms = measure_recorded(rec, &cfgs, width_factor(sc.imp, sc.width));
+                let ms = measure_warmed(rec, cores, cfgs, width_factor(sc.imp, sc.width));
                 if let Some(journal) = self.journal {
                     if let Err(e) = journal.record_group(plan, group, &ms) {
                         eprintln!(
@@ -334,7 +333,9 @@ impl Campaign<'_> {
 /// The group driver shared by [`Campaign::execute`] and
 /// [`crate::golden::collect`]: for each group of `work`, sharded across
 /// `threads` workers, report progress, obtain the group's recording
-/// through [`record_group`] (consulting `store`) and hand it to `body`.
+/// (consulting `store`) together with one core model per member
+/// scenario, warmed on its stream, and hand both, with the members'
+/// core configurations, to `body`, which runs the timed pass.
 /// A panic anywhere in a group becomes a [`KernelFailure`] naming the
 /// group's stream (shard workers must not panic). Results come back in
 /// `work` order.
@@ -345,7 +346,7 @@ pub(crate) fn drive_groups<T: Send>(
     threads: usize,
     store: Option<&TraceStore>,
     progress: &(dyn Fn(&str) + Sync),
-    body: impl Fn(&mut GroupRecording, &[usize]) -> Vec<T> + Sync,
+    body: impl Fn(GroupRecording, MultiCore, &[CoreConfig], &[usize]) -> Vec<T> + Sync,
 ) -> Vec<Result<Vec<T>, KernelFailure>> {
     shard_indexed(work.len(), threads, |wi| {
         let group = work[wi];
@@ -353,8 +354,10 @@ pub(crate) fn drive_groups<T: Send>(
         progress(&group_progress(plan, group));
         catch_unwind(AssertUnwindSafe(|| {
             let kernel = kernels[sc.kernel].as_ref();
-            let mut rec = record_group(kernel, sc.imp, sc.width, sc.scale, sc.seed, store);
-            body(&mut rec, group)
+            let cfgs: Vec<CoreConfig> = group.iter().map(|&i| plan[i].core.config()).collect();
+            let (rec, cores) =
+                record_warmed(kernel, sc.imp, sc.width, sc.scale, sc.seed, store, &cfgs);
+            body(rec, cores, &cfgs, group)
         }))
         .map_err(|p| KernelFailure {
             id: sc.kernel_id.clone(),

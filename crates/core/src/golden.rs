@@ -19,7 +19,7 @@
 
 use crate::campaign::{drive_groups, execution_groups, scatter_groups, KernelFailure};
 use crate::kernel::{Kernel, Scale};
-use crate::runner::GroupRecording;
+use crate::runner::{replay_timed, GroupRecording};
 use crate::scenario::Scenario;
 use crate::tracestore::TraceStore;
 use std::fmt::Write as _;
@@ -48,22 +48,23 @@ pub struct GoldenEntry {
 }
 
 /// Fold one execution group's recording into golden points with the
-/// executor's record-once / replay-many discipline: the recording
-/// warms every member scenario's core, and each decoded batch of the
-/// timed replay is stepped through the fan-out models and folded into
-/// the trace digest at once. Batch decode expands overhead runs
-/// exactly like [`HashSink`]'s default sink expansion, so digests and
-/// statistics are unchanged from a warm+timed execution pair — and
-/// identical with a cold store, a warm store, and no store.
-fn hash_group(rec: &mut GroupRecording, plan: &[Scenario], group: &[usize]) -> Vec<GoldenEntry> {
-    let cfgs: Vec<_> = group.iter().map(|&i| plan[i].core.config()).collect();
-    let mut cores = MultiCore::new(&cfgs);
-    cores.begin_warm();
-    rec.replay_batches(|b| cores.warm_batch(b));
-    cores.begin_timed();
+/// executor's record-once / replay-once discipline: `cores` arrive
+/// warmed on the stream (live while it recorded, or by one replay of a
+/// store hit), and each decoded batch of the timed replay is stepped
+/// through the fan-out models and folded into the trace digest at once.
+/// Batch decode expands overhead runs exactly like [`HashSink`]'s
+/// default sink expansion, so digests and statistics are unchanged
+/// from a warm+timed execution pair — and identical with a cold store,
+/// a warm store, and no store.
+fn hash_group(
+    rec: GroupRecording,
+    mut cores: MultiCore,
+    plan: &[Scenario],
+    group: &[usize],
+) -> Vec<GoldenEntry> {
+    let (instrs, fallback_refs) = (rec.data.total(), rec.fallback_refs);
     let mut hash = HashSink::new();
-    rec.replay_batches(|b| {
-        cores.step_batch(b);
+    let sims = replay_timed(rec, &mut cores, |b| {
         for ins in b {
             hash.on_instr(ins);
         }
@@ -71,12 +72,12 @@ fn hash_group(rec: &mut GroupRecording, plan: &[Scenario], group: &[usize]) -> V
     let trace_hash = hash.digest();
     group
         .iter()
-        .zip(cores.finalize())
+        .zip(sims)
         .map(|(&i, sim)| GoldenEntry {
             id: plan[i].id(),
-            instrs: rec.data.total(),
+            instrs,
             trace_hash,
-            fallback_refs: rec.fallback_refs,
+            fallback_refs,
             sim,
         })
         .collect()
@@ -107,7 +108,7 @@ pub fn collect(
         threads,
         store,
         &progress,
-        |rec, group| hash_group(rec, plan, group),
+        |rec, cores, _, group| hash_group(rec, cores, plan, group),
     );
     let mut failures = Vec::new();
     let per_group: Vec<Vec<GoldenEntry>> = results

@@ -45,6 +45,7 @@ pub use perf::{find, gate, parse_bench_json, probe, BenchRow, GateOutcome, PerfR
 pub use profile::{Phase, PhaseSample, ProfileReport, ProfileScope};
 pub use runner::{
     measure, measure_recorded, record, record_group, verify_kernel, GroupRecording, Measurement,
+    WarmingSink,
 };
 pub use scenario::{filter_plan, Scenario, ScenarioFilter};
 pub use tracestore::{inventory_digest, StoreStats, TraceStore};

@@ -3,9 +3,9 @@
 //! The `--perf` probe answers "how fast is the hot loop"; this module
 //! answers "which pipeline phase is the bottleneck" — the same question
 //! the paper's Table 5 asks of the simulated workloads, turned on the
-//! simulator itself. Every phase of the record-once/replay-many
+//! simulator itself. Every phase of the record-once/replay-once
 //! pipeline (functional recording, trace-store I/O, chunk decode, warm
-//! and timed batch replay, checkpoint journal writes, serve answer
+//! and timed batch stepping, checkpoint journal writes, serve answer
 //! tiers) charges its wall time to a fixed [`Phase`] slot through a
 //! [`ProfileScope`] RAII timer, with per-phase call, instruction, and
 //! byte counters alongside.
@@ -89,7 +89,9 @@ pub enum Phase {
     /// arena refills and the store path's read + digest-verify +
     /// expand segments) — measured inside the codec.
     Decode = 4,
-    /// Cache-warming batch replay into the core models.
+    /// Cache-warming batch stepping of the core models: nested inside
+    /// [`Phase::Record`] while a fresh group warms on its live stream,
+    /// a replay of its own on a trace-store hit.
     Warm = 5,
     /// Timed batch replay into the core models (the measured pass).
     Timed = 6,

@@ -896,12 +896,17 @@ pub(crate) fn emit_literal(op: Op, class: Class, content: &[u8]) -> u32 {
         let t = &mut *t;
         let mem = if t.sink.is_some() {
             let bytes = content.len() as u32;
-            let lit_next = &mut t.lit_next;
-            let addr = *t.lit_pool.entry(content.to_vec()).or_insert_with(|| {
-                let a = *lit_next;
-                *lit_next += bytes as u64;
-                a
-            });
+            // Look up by borrowed content: only a pool miss allocates
+            // the owned key.
+            let addr = match t.lit_pool.get(content) {
+                Some(&a) => a,
+                None => {
+                    let a = t.lit_next;
+                    t.lit_next += bytes as u64;
+                    t.lit_pool.insert(content.to_vec(), a);
+                    a
+                }
+            };
             Some(MemRef { addr, bytes })
         } else {
             None
@@ -1118,6 +1123,27 @@ mod tests {
         assert_eq!(probe.instrs.len(), 2);
         assert_eq!(probe.instrs[1].srcs[0], probe.instrs[0].dst);
         assert_eq!(probe.overheads, vec![(Op::SAlu, 10)]);
+    }
+
+    #[test]
+    fn literal_pool_interns_by_content() {
+        let (_, sink, ()) = stream_into(VecSink::default(), || {
+            emit_literal(Op::VLd1, Class::VLoad, &[1; 16]);
+            emit_literal(Op::VLd1, Class::VLoad, &[2; 8]);
+            emit_literal(Op::VLd1, Class::VLoad, &[1; 16]);
+            emit_literal(Op::VLd1, Class::VLoad, &[3; 16]);
+        });
+        let refs: Vec<(u64, u32)> = sink
+            .instrs
+            .iter()
+            .map(|i| i.mem.map(|m| (m.addr, m.bytes)).expect("literal load"))
+            .collect();
+        let base = LITERAL_POOL_BASE;
+        assert_eq!(
+            refs,
+            vec![(base, 16), (base + 16, 8), (base, 16), (base + 24, 16)],
+            "a repeat hits its first address; a new constant is appended"
+        );
     }
 
     #[test]

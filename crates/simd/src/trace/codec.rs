@@ -656,39 +656,16 @@ impl EncodedTrace {
     /// batch boundaries). One decoder state walks every chunk, so
     /// batches (and overhead runs) span chunk edges freely and only
     /// the final batch may be partial.
-    pub fn replay_batches_with(&self, cap: usize, mut consume: impl FnMut(&[TraceInstr])) {
-        let mut fill = BatchFill::new();
-        let mut batch = DecodedBatch::with_capacity(cap);
-        let mut chunks = self.chunks.iter();
-        let mut chunk: &[u8] = &[];
-        let mut pos = 0usize;
-        loop {
-            batch.clear();
-            let t0 = prof_now();
-            let mut bytes = 0usize;
-            loop {
-                let pos0 = pos;
-                fill.fill(chunk, &mut pos, &mut batch);
-                bytes += pos - pos0;
-                if batch.is_full() {
-                    break;
-                }
-                // The chunk is exhausted and any pending run expanded:
-                // keep filling from the next chunk.
-                match chunks.next() {
-                    Some(next) => {
-                        chunk = next;
-                        pos = 0;
-                    }
-                    None => break,
-                }
-            }
-            prof_decode(t0, batch.instrs().len() as u64, bytes as u64);
-            if batch.is_empty() {
-                return;
-            }
-            consume(batch.instrs());
-        }
+    pub fn replay_batches_with(&self, cap: usize, consume: impl FnMut(&[TraceInstr])) {
+        chunk_batches(self.chunks.iter(), cap, consume)
+    }
+
+    /// [`EncodedTrace::replay_batches`] for a recording's last replay:
+    /// each chunk is freed as soon as it is decoded, so the recording's
+    /// resident size falls to zero as the replay proceeds. The batches
+    /// are identical.
+    pub fn into_batches(self, consume: impl FnMut(&[TraceInstr])) {
+        chunk_batches(self.chunks.into_iter(), DEFAULT_BATCH_INSTRS, consume)
     }
 
     /// Write this recording in the segmented container form: the same
@@ -703,6 +680,50 @@ impl EncodedTrace {
         let mut spill = SpillSink::new(writer, budget);
         self.replay_into(&mut spill);
         spill.finish()
+    }
+}
+
+/// Decode a list of in-memory chunks into [`DecodedBatch`]-sized
+/// slices of `cap` instructions: the loop behind
+/// [`EncodedTrace::replay_batches_with`] (borrowed chunks) and
+/// [`EncodedTrace::into_batches`] (owned chunks, each dropped when the
+/// next one is taken).
+fn chunk_batches<C: AsRef<[u8]>>(
+    mut chunks: impl Iterator<Item = C>,
+    cap: usize,
+    mut consume: impl FnMut(&[TraceInstr]),
+) {
+    let mut fill = BatchFill::new();
+    let mut batch = DecodedBatch::with_capacity(cap);
+    let mut chunk: Option<C> = None;
+    let mut pos = 0usize;
+    loop {
+        batch.clear();
+        let t0 = prof_now();
+        let mut bytes = 0usize;
+        loop {
+            let pos0 = pos;
+            let buf = chunk.as_ref().map_or(&[][..], AsRef::as_ref);
+            fill.fill(buf, &mut pos, &mut batch);
+            bytes += pos - pos0;
+            if batch.is_full() {
+                break;
+            }
+            // The chunk is exhausted and any pending run expanded:
+            // keep filling from the next chunk.
+            match chunks.next() {
+                Some(next) => {
+                    chunk = Some(next);
+                    pos = 0;
+                }
+                None => break,
+            }
+        }
+        prof_decode(t0, batch.instrs().len() as u64, bytes as u64);
+        if batch.is_empty() {
+            return;
+        }
+        consume(batch.instrs());
     }
 }
 

@@ -198,6 +198,12 @@ fn check_chunked_recording(events: &[Event], budget: usize) -> EncodedTrace {
         assert!(largest <= cap);
         assert_eq!(collected, expanded.instrs, "batch replay at capacity {cap}");
     }
+    // The consuming last replay frees chunks as it goes and yields the
+    // same batches as the borrowing one.
+    let (mut borrowed, mut consumed) = (Vec::new(), Vec::new());
+    enc.replay_batches(|b| borrowed.push(b.to_vec()));
+    enc.clone().into_batches(|b| consumed.push(b.to_vec()));
+    assert_eq!(consumed, borrowed, "consuming batch replay");
 
     let (summary, bytes) = enc
         .write_chunked(budget, Vec::new())

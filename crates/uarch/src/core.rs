@@ -12,7 +12,7 @@
 
 use crate::cache::{CacheHierarchy, CacheStats};
 use crate::config::CoreConfig;
-use swan_simd::trace::{CLASS_COUNT, OP_COUNT};
+use swan_simd::trace::{MemRef, CLASS_COUNT, OP_COUNT};
 use swan_simd::{Op, TraceInstr};
 
 /// Functional-unit pools.
@@ -432,6 +432,15 @@ impl CoreModel {
         }
     }
 
+    /// [`CoreModel::warm_batch`] given only the batch's memory
+    /// references, in program order: the same cache accesses, for a
+    /// producer that never materializes the instructions.
+    pub fn warm_refs(&mut self, refs: &[MemRef]) {
+        for m in refs {
+            self.caches.access(m.addr, m.bytes);
+        }
+    }
+
     /// Consume a batch of dynamic instructions: one phase dispatch for
     /// the whole slice, then the monomorphic warm or timed loop. This
     /// is the devirtualized fast path the replay engine feeds with
@@ -659,6 +668,18 @@ impl MultiCore {
         self.stats.warm_instrs += batch.len() as u64;
         for m in &mut self.models {
             m.warm_batch(batch);
+        }
+    }
+
+    /// [`MultiCore::warm_batch`] for a batch of `instrs` stream
+    /// instructions given only its memory references, in program order
+    /// (the fan-out form of [`CoreModel::warm_refs`]). Counts as one
+    /// warm batch of `instrs` instructions.
+    pub fn warm_refs(&mut self, refs: &[MemRef], instrs: u64) {
+        self.stats.warm_batches += 1;
+        self.stats.warm_instrs += instrs;
+        for m in &mut self.models {
+            m.warm_refs(refs);
         }
     }
 

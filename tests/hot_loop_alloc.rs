@@ -3,36 +3,39 @@
 //! `step_batch` on the three-core fan-out while a hand-built stream
 //! touches more distinct lines than the last-level cache holds, so
 //! every set of every level fills and evicts. All cache and scheduler
-//! state must have been allocated when the models were built.
+//! state must have been allocated when the models were built. The
+//! same holds for the loop that warms the cores while a kernel
+//! records: a `WarmingSink` allocates its arena of memory references
+//! when it is built and nothing while it is fed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use swan_simd::trace::{Class, MemRef};
+use swan_core::WarmingSink;
+use swan_simd::trace::{Class, HashSink, MemRef, TraceSink, DEFAULT_BATCH_INSTRS};
 use swan_simd::{Op, TraceInstr};
 use swan_uarch::{CoreConfig, MultiCore};
 
-/// Counts allocations made by threads that opted in, so the test
-/// harness's own threads never show up in the count.
+/// Counts allocations made by threads that opted in, per thread, so
+/// neither the test harness's own threads nor a test running
+/// alongside show up in a count.
 struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count_one() {
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
 }
 
 // SAFETY: both methods forward their arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; counting touches only an
-// atomic and a const-initialized thread-local without a destructor,
-// neither of which allocates. The default `alloc_zeroed` and `realloc`
+// which upholds the `GlobalAlloc` contract; counting touches only
+// const-initialized thread-locals without destructors, which do not
+// allocate. The default `alloc_zeroed` and `realloc`
 // go through `alloc`, so they are counted too.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -53,9 +56,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Allocations the current thread makes while running `f`.
 fn allocations_during(f: impl FnOnce()) -> u64 {
     COUNTING.with(|c| c.set(true));
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = ALLOCATIONS.with(Cell::get);
     COUNTING.with(|c| c.set(false));
     after - before
 }
@@ -137,4 +140,46 @@ fn warm_and_timed_batches_never_allocate() {
             r.dram_accesses
         );
     }
+}
+
+#[test]
+fn warming_sink_never_allocates_after_construction() {
+    // Four instructions per line: six batches' worth of the sweep.
+    let stream = sweep(DEFAULT_BATCH_INSTRS as u64 * 3 / 2);
+    const RUN: u64 = 300;
+    let cores = MultiCore::new(&[
+        CoreConfig::prime(),
+        CoreConfig::gold(),
+        CoreConfig::silver(),
+    ]);
+    let mut sink = WarmingSink::new(HashSink::new(), cores);
+
+    let fed = allocations_during(|| {
+        // The overhead run starts 100 instructions before the first
+        // batch edge and ends past it.
+        let (head, tail) = stream.split_at(DEFAULT_BATCH_INSTRS - 100);
+        for ins in head {
+            sink.on_instr(ins);
+        }
+        sink.on_overhead(Op::SAlu, Class::SInt, 1 << 20, RUN);
+        for ins in tail {
+            sink.on_instr(ins);
+        }
+    });
+    let (hash, cores) = sink.finish();
+
+    assert_eq!(fed, 0, "allocations while feeding the warming sink");
+    let total = stream.len() as u64 + RUN;
+    assert!(total >= 5 * DEFAULT_BATCH_INSTRS as u64, "{total} instrs");
+    assert_eq!(hash.count(), total, "every call reaches the recorder");
+    let stats = cores.batch_stats();
+    assert_eq!(
+        stats.warm_instrs, total,
+        "every instruction warms the cores"
+    );
+    assert_eq!(
+        stats.warm_batches,
+        total.div_ceil(DEFAULT_BATCH_INSTRS as u64),
+        "full batches, then one partial"
+    );
 }

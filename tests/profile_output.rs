@@ -2,7 +2,9 @@
 //!
 //! 1. **Bit-identity**: a campaign measured with profiling enabled is
 //!    byte-identical to one with it disabled — timers observe, they
-//!    never steer.
+//!    never steer. Its exact work counters show each fresh group
+//!    decoded once: warm instrs equal recorded instrs, decoded instrs
+//!    equal timed instrs.
 //! 2. **`BENCH_profile.json` is sane**: the file `swan-report
 //!    --profile` writes parses back, and on a single-threaded campaign
 //!    the summed exclusive phase time never exceeds the wall clock.
@@ -69,6 +71,18 @@ fn profiling_on_and_off_are_byte_identical() {
     assert_eq!(
         record.instrs, timed.instrs,
         "timed pass replays exactly what was recorded"
+    );
+    // Exact work counters of record-once / replay-once: the cores warm
+    // on the live stream while it records, so the recording is decoded
+    // once, for the timed pass only.
+    let warm = rep.phase(Phase::Warm).expect("warm sampled");
+    assert_eq!(
+        warm.instrs, record.instrs,
+        "the warm pass sees every recorded instruction"
+    );
+    assert_eq!(
+        decode.instrs, timed.instrs,
+        "a fresh group decodes its recording once, for the timed pass"
     );
     profile::reset();
 }

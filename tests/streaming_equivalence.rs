@@ -170,7 +170,7 @@ fn permuted_and_filtered_plans_are_scenario_bit_identical() {
 }
 
 /// Differential proof of replay ≡ execute at campaign level: the
-/// record-once/replay-many executor must produce *exact* `SimResult`
+/// record-once/replay-once executor must produce *exact* `SimResult`
 /// equality with a functional-execution reference (a fresh stream
 /// materialized into a `VecSink` and simulated per scenario) — at
 /// thread counts {1, 2, 7} and under a permuted plan.
