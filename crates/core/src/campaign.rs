@@ -10,8 +10,12 @@
 //! a *single* functional execution, recorded through the trace codec
 //! while it warms every member's core model, then replayed once, timed,
 //! into those models, so the shard unit is a stream group, far finer
-//! than a whole kernel, and the emulator runs each stream only once.
-//! [`aggregate`] folds per-scenario [`Measurement`]s back into
+//! than a whole kernel. An Auto group whose kernel declares that its
+//! Auto build runs the Scalar or Neon code
+//! ([`KernelMeta::auto_stream`]) is a second group of an identical
+//! stream: when its twin group is measured by the same call, it copies
+//! the twin's measurements instead of executing. So the emulator runs
+//! each distinct stream only once per call. [`aggregate`] folds per-scenario [`Measurement`]s back into
 //! [`KernelResults`]/[`SuiteResults`], so every `report::fig*/tab*`
 //! generator consumes the same shapes as before.
 //!
@@ -228,8 +232,11 @@ pub struct CampaignRun {
     pub total_groups: usize,
     /// Groups loaded from the journal (zero functional re-executions).
     pub resumed_groups: usize,
-    /// Groups simulated by this run.
+    /// Groups measured by this run, including the twinned ones.
     pub executed_groups: usize,
+    /// Of `executed_groups`, the Auto groups measured from their twin
+    /// (see [`Campaign::execute`]) without an execution of their own.
+    pub twinned_groups: usize,
     /// Groups left to other workers' shards.
     pub skipped_groups: usize,
 }
@@ -260,11 +267,25 @@ impl Campaign<'_> {
     /// scenario in plan order. Each group not resumed from the journal
     /// or left to another shard is recorded once while it warms one core
     /// model per member scenario, then replayed once, timed, into those
-    /// models (see [`crate::runner`]). A panicking group becomes one
-    /// [`KernelFailure`] and never poisons its siblings. Results are
-    /// bit-identical for every thread count, store state, journal state
-    /// and plan order. `progress` receives one status line per
-    /// executed group, from whichever worker picks it up.
+    /// models (see [`crate::runner`]) — unless it is an Auto group whose
+    /// twin this call also measures. A kernel whose Auto build runs the
+    /// code of another implementation declares it
+    /// ([`KernelMeta::auto_stream`]); its Auto@128 stream is then
+    /// byte-identical to that twin's 128-bit stream, and the width
+    /// factor is 1.0 for both, so each member of the Auto group copies
+    /// the twin group's [`Measurement`] for the same core. That holds
+    /// when the twin group (same kernel, scale and seed) covers every
+    /// member core and is executed or resumed by this call; otherwise,
+    /// as in an `impl=auto`-only plan or a shard without the twin, the
+    /// Auto group runs its own stream. So every distinct stream
+    /// executes once. A twinned group is journaled like an executed
+    /// one, and fails, naming its twin, when its twin fails.
+    ///
+    /// A panicking group becomes one [`KernelFailure`] and never
+    /// poisons its siblings. Results are bit-identical for every thread
+    /// count, store state, journal state and plan order. `progress`
+    /// receives one status line per group that executes, from whichever
+    /// worker picks it up.
     pub fn execute(
         &self,
         kernels: &[Box<dyn Kernel>],
@@ -289,45 +310,128 @@ impl Campaign<'_> {
                 skipped_groups += 1;
             }
         }
-        let work_groups: Vec<&[usize]> = work.iter().map(|&gi| groups[gi].as_slice()).collect();
+        let twin = auto_twins(kernels, plan, &groups, &work, &per_group);
+        let driven: Vec<usize> = work
+            .iter()
+            .copied()
+            .filter(|&gi| twin[gi].is_none())
+            .collect();
+        let driven_groups: Vec<&[usize]> = driven.iter().map(|&gi| groups[gi].as_slice()).collect();
         let results = drive_groups(
             kernels,
             plan,
-            &work_groups,
+            &driven_groups,
             self.threads,
             self.store,
             &progress,
             |rec, cores, cfgs, group| {
                 let sc = &plan[group[0]];
                 let ms = measure_warmed(rec, cores, cfgs, width_factor(sc.imp, sc.width));
-                if let Some(journal) = self.journal {
-                    if let Err(e) = journal.record_group(plan, group, &ms) {
-                        eprintln!(
-                            "checkpoint: cannot journal {} ({e}); the group's \
-                             result is kept but will re-simulate after a restart",
-                            sc.stream_id()
-                        );
-                    }
-                }
+                self.journal_group(plan, group, &ms);
                 ms
             },
         );
-        let mut failures = Vec::new();
-        for (&gi, r) in work.iter().zip(results) {
+        let mut failed: Vec<Option<KernelFailure>> = vec![None; groups.len()];
+        for (&gi, r) in driven.iter().zip(results) {
             match r {
                 Ok(ms) => per_group[gi] = ms,
-                Err(f) => failures.push(f),
+                Err(f) => failed[gi] = Some(f),
             }
         }
+        let mut twinned_groups = 0usize;
+        for &gi in &work {
+            let Some(tg) = twin[gi] else { continue };
+            let sc = &plan[groups[gi][0]];
+            if let Some(f) = &failed[tg] {
+                failed[gi] = Some(KernelFailure {
+                    id: sc.kernel_id.clone(),
+                    message: format!(
+                        "{}: measured from its twin {}, which failed: {}",
+                        sc.stream_id(),
+                        plan[groups[tg][0]].stream_id(),
+                        f.message
+                    ),
+                });
+                continue;
+            }
+            let ms: Vec<Measurement> = groups[gi]
+                .iter()
+                .map(|&i| {
+                    let at = groups[tg]
+                        .iter()
+                        .position(|&j| plan[j].core == plan[i].core)
+                        .expect("a twin covers every member core");
+                    per_group[tg][at].clone()
+                })
+                .collect();
+            self.journal_group(plan, &groups[gi], &ms);
+            per_group[gi] = ms;
+            twinned_groups += 1;
+        }
+        let failures: Vec<KernelFailure> =
+            work.iter().filter_map(|&gi| failed[gi].take()).collect();
         CampaignRun {
             measurements: scatter_groups(plan.len(), &groups, per_group),
             total_groups: groups.len(),
             resumed_groups,
             executed_groups: work.len() - failures.len(),
+            twinned_groups,
             skipped_groups,
             failures,
         }
     }
+
+    /// Persist one measured group in the journal, if there is one.
+    /// A write failure is logged, never fatal.
+    fn journal_group(&self, plan: &[Scenario], group: &[usize], ms: &[Measurement]) {
+        if let Some(journal) = self.journal {
+            if let Err(e) = journal.record_group(plan, group, ms) {
+                eprintln!(
+                    "checkpoint: cannot journal {} ({e}); the group's \
+                     result is kept but will re-simulate after a restart",
+                    plan[group[0]].stream_id()
+                );
+            }
+        }
+    }
+}
+
+/// For each group, the group it copies its measurements from instead
+/// of executing: `Some(twin)` for a `work` group that runs a kernel's
+/// Auto@128 stream when the kernel declares the implementation Auto
+/// runs ([`KernelMeta::auto_stream`]) and that implementation's W128
+/// group, at the same scale and seed, is also in `work` or already
+/// measured in `per_group` (resumed) and covers every member core.
+fn auto_twins(
+    kernels: &[Box<dyn Kernel>],
+    plan: &[Scenario],
+    groups: &[Vec<usize>],
+    work: &[usize],
+    per_group: &[Vec<Measurement>],
+) -> Vec<Option<usize>> {
+    let resumed = (0..groups.len()).filter(|&gi| !per_group[gi].is_empty());
+    let measured: HashMap<_, usize> = resumed
+        .chain(work.iter().copied())
+        .map(|gi| (plan[groups[gi][0]].stream_key(), gi))
+        .collect();
+    let mut twin = vec![None; groups.len()];
+    for &gi in work {
+        let sc = &plan[groups[gi][0]];
+        if sc.imp != Impl::Auto || sc.width != Width::W128 {
+            continue;
+        }
+        let declared = kernels[sc.kernel].meta().auto_stream;
+        let Some(imp) = declared.filter(|&imp| imp != Impl::Auto) else {
+            continue;
+        };
+        let key = Scenario { imp, ..sc.clone() }.stream_key();
+        twin[gi] = measured.get(&key).copied().filter(|&tg| {
+            groups[gi]
+                .iter()
+                .all(|&i| groups[tg].iter().any(|&j| plan[j].core == plan[i].core))
+        });
+    }
+    twin
 }
 
 /// The group driver shared by [`Campaign::execute`] and

@@ -307,8 +307,16 @@ pub struct KernelMeta {
     pub precision_bits: u32,
     /// Whether the dominant data type is floating point.
     pub is_float: bool,
-    /// Auto-vectorization outcome.
+    /// Auto-vectorization outcome (the paper's compiler, Table 4).
     pub auto: AutoOutcome,
+    /// Which implementation's 128-bit stream this reproduction's Auto
+    /// build runs: `Some(Impl::Scalar)` or `Some(Impl::Neon)` when
+    /// `Runnable::run` sends [`Impl::Auto`] into exactly that code
+    /// path (so the two streams are byte-identical and a campaign
+    /// measures them once), `None` when Auto has code of its own.
+    /// Declared by the kernel's `Runnable`, not derived from
+    /// [`KernelMeta::auto`].
+    pub auto_stream: Option<Impl>,
     /// Legality/cost obstacles observed on the scalar code (§5.2);
     /// empty when the compiler vectorizes cleanly.
     pub obstacles: &'static [AutoObstacle],
@@ -459,6 +467,7 @@ mod tests {
             precision_bits: 8,
             is_float: false,
             auto: AutoOutcome::SameAsScalar,
+            auto_stream: Some(Impl::Scalar),
             obstacles: &[],
             patterns: &[],
             tolerance: 0.0,

@@ -13,7 +13,10 @@
 //! replay-into-every-core methodology. A trace-store hit has no live
 //! stream; it warms with one replay and is timed with a second.
 //! [`measure`] is the single-point form; whole plans go through
-//! [`crate::campaign::Campaign::execute`].
+//! [`crate::campaign::Campaign::execute`], which runs this path once
+//! per distinct stream: an Auto group that runs the same stream as a
+//! Scalar or Neon group of the same call copies that group's
+//! measurements.
 //!
 //! [`record_group`] + [`measure_recorded`] are the two-pass form of
 //! the same measurement (record, then replay warm + timed), kept for

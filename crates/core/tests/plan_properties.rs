@@ -38,6 +38,7 @@ impl Kernel for Fake {
             precision_bits: 32,
             is_float: true,
             auto: AutoOutcome::SameAsScalar,
+            auto_stream: Some(Impl::Scalar),
             obstacles: &[],
             patterns: &[],
             tolerance: 0.0,

@@ -30,10 +30,22 @@ pub fn gen_u32(rng: &mut StdRng, n: usize) -> Vec<u32> {
     (0..n).map(|_| rng.gen()).collect()
 }
 
+/// What a kernel state's Auto build runs, declared beside the `run`
+/// that chooses the code path: `Some(imp)` when [`swan_core::Impl::Auto`]
+/// runs exactly the code `imp` runs at 128 bits (the two streams are
+/// byte-identical, so a campaign measures them once), `None` when the
+/// state has Auto code of its own. [`runnable!`] implements it from its
+/// `auto` argument; hand-written `Runnable`s implement it themselves.
+/// [`swan_kernel!`] copies it into `KernelMeta::auto_stream`.
+pub(crate) trait AutoStream {
+    /// The implementation whose 128-bit stream Auto runs, if any.
+    const AUTO_STREAM: Option<swan_core::Impl>;
+}
+
 /// Define the `Kernel` wrapper type for a kernel state struct.
 ///
 /// The state type must provide `new(Scale, u64) -> Self` and implement
-/// [`swan_core::Runnable`].
+/// [`swan_core::Runnable`] and [`AutoStream`].
 macro_rules! swan_kernel {
     (
         $(#[$doc:meta])*
@@ -64,6 +76,7 @@ macro_rules! swan_kernel {
                     precision_bits: $bits,
                     is_float: $isf,
                     auto: $auto,
+                    auto_stream: <$state as crate::util::AutoStream>::AUTO_STREAM,
                     obstacles: &[$(swan_core::AutoObstacle::$obs),*],
                     patterns: &[$(swan_core::Pattern::$pat),*],
                     tolerance: $tol,
@@ -87,6 +100,9 @@ macro_rules! swan_kernel {
 /// methods. The `auto` argument selects what the compiler-vectorized
 /// build runs: `scalar` (vectorization failed), `neon` (vectorized at
 /// 128 bits), or `custom` (the state provides `fn auto(&mut self)`).
+/// The same argument implements [`AutoStream`]: `scalar` and `neon`
+/// declare the Auto stream a twin of that implementation's 128-bit
+/// stream, `custom` declares none.
 ///
 /// The mandatory `buffers` clause runs at `run()` entry and must
 /// register every buffer the kernel loads from or stores to
@@ -97,6 +113,9 @@ macro_rules! swan_kernel {
 /// hits the fallback.
 macro_rules! runnable {
     ($state:ty, auto = scalar, buffers = |$s:ident| $reg:block) => {
+        impl crate::util::AutoStream for $state {
+            const AUTO_STREAM: Option<swan_core::Impl> = Some(swan_core::Impl::Scalar);
+        }
         impl swan_core::Runnable for $state {
             fn run(&mut self, imp: swan_core::Impl, w: swan_simd::Width) {
                 {
@@ -114,6 +133,9 @@ macro_rules! runnable {
         }
     };
     ($state:ty, auto = neon, buffers = |$s:ident| $reg:block) => {
+        impl crate::util::AutoStream for $state {
+            const AUTO_STREAM: Option<swan_core::Impl> = Some(swan_core::Impl::Neon);
+        }
         impl swan_core::Runnable for $state {
             fn run(&mut self, imp: swan_core::Impl, w: swan_simd::Width) {
                 {
@@ -132,6 +154,9 @@ macro_rules! runnable {
         }
     };
     ($state:ty, auto = custom, buffers = |$s:ident| $reg:block) => {
+        impl crate::util::AutoStream for $state {
+            const AUTO_STREAM: Option<swan_core::Impl> = None;
+        }
         impl swan_core::Runnable for $state {
             fn run(&mut self, imp: swan_core::Impl, w: swan_simd::Width) {
                 {

@@ -10,7 +10,7 @@
 //! utilization effect. `conv_layers` provides the 156 synthetic
 //! convolutional layer shapes swept by Figure 6.
 
-use crate::util::{gen_f32, rng, runnable, swan_kernel};
+use crate::util::{gen_f32, rng, runnable, swan_kernel, AutoStream};
 use rand::Rng;
 use swan_core::{AutoOutcome, Impl, Kernel, KernelMeta, Runnable, Scale, VsNeon};
 use swan_simd::scalar::{self as sc, counted};
@@ -163,6 +163,10 @@ impl GemmF32State {
     }
 }
 
+impl AutoStream for GemmF32State {
+    const AUTO_STREAM: Option<Impl> = Some(Impl::Neon);
+}
+
 impl Runnable for GemmF32State {
     fn run(&mut self, imp: Impl, w: Width) {
         swan_simd::with_buffers!(self.a, self.b, self.out);
@@ -202,6 +206,7 @@ impl Kernel for GemmF32 {
             precision_bits: 32,
             is_float: true,
             auto: AutoOutcome::Vectorized(VsNeon::Worse),
+            auto_stream: GemmF32State::AUTO_STREAM,
             obstacles: &[],
             patterns: &[swan_core::Pattern::MatrixTransposition],
             tolerance: 0.0,
@@ -594,6 +599,10 @@ impl<const P: u8> SpmmState<P> {
     }
 }
 
+impl<const P: u8> AutoStream for SpmmState<P> {
+    const AUTO_STREAM: Option<Impl> = Some(Impl::Scalar);
+}
+
 impl<const P: u8> Runnable for SpmmState<P> {
     fn run(&mut self, imp: Impl, w: Width) {
         swan_simd::with_buffers!(
@@ -640,6 +649,7 @@ macro_rules! spmm_kernel {
                     precision_bits: $bits,
                     is_float: $isf,
                     auto: AutoOutcome::SameAsScalar,
+                    auto_stream: SpmmState::<$p>::AUTO_STREAM,
                     obstacles: &$obs,
                     patterns: &$pats,
                     tolerance: 0.0,

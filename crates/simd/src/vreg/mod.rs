@@ -130,11 +130,14 @@ impl<T: Elem> Vreg<T> {
         assert_eq!(vals.len(), n as usize, "lane count mismatch");
         l[..n as usize].copy_from_slice(vals);
         let id = if trace::is_tracing() {
-            let mut content = Vec::with_capacity(vals.len() * T::BYTES);
-            for v in vals {
-                content.extend_from_slice(&v.to_bits().to_le_bytes()[..T::BYTES]);
+            // One register's bytes, staged on the stack: at most
+            // `MAX_LANES` bytes at the widest width.
+            let mut content = [0u8; MAX_LANES];
+            let len = vals.len() * T::BYTES;
+            for (dst, v) in content[..len].chunks_exact_mut(T::BYTES).zip(vals) {
+                dst.copy_from_slice(&v.to_bits().to_le_bytes()[..T::BYTES]);
             }
-            trace::emit_literal(Op::VLd1, Class::VLoad, &content)
+            trace::emit_literal(Op::VLd1, Class::VLoad, &content[..len])
         } else {
             0
         };
@@ -232,7 +235,7 @@ impl<T: Elem> Vreg<T> {
                 dst[off + e * R + r] = reg.lanes[e];
             }
         }
-        let srcs: Vec<u32> = regs.iter().map(|r| r.id).collect();
+        let srcs: [u32; R] = std::array::from_fn(|r| regs[r].id);
         trace::emit(
             op,
             Class::VStore,
@@ -758,9 +761,14 @@ impl Vreg<u8> {
                 0
             };
         }
-        let mut srcs: Vec<u32> = tables.iter().map(|t| t.id).collect();
-        srcs.push(idx.id);
-        let id = trace::emit(Op::VTbl, Class::VMisc, &srcs, None);
+        // The tables' ids then the index's, staged on the stack; the
+        // tracer keeps the first four sources.
+        let mut srcs = [0u32; 5];
+        for (s, t) in srcs.iter_mut().zip(tables) {
+            *s = t.id;
+        }
+        srcs[tables.len()] = idx.id;
+        let id = trace::emit(Op::VTbl, Class::VMisc, &srcs[..=tables.len()], None);
         Vreg {
             lanes: l,
             n: nn,

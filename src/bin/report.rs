@@ -401,12 +401,13 @@ fn main() {
     let print_checkpoint_stats = |journal: &CampaignJournal, run: &CampaignRun| {
         let s = journal.stats();
         eprintln!(
-            "checkpoint: dir={} groups={} resumed={} executed={} skipped={} \
-             discarded={} written={} bytes={}",
+            "checkpoint: dir={} groups={} resumed={} executed={} twinned={} \
+             skipped={} discarded={} written={} bytes={}",
             journal.dir().display(),
             run.total_groups,
             run.resumed_groups,
             run.executed_groups,
+            run.twinned_groups,
             run.skipped_groups,
             s.discarded,
             s.written,
@@ -461,10 +462,11 @@ fn main() {
         let s = journal.stats();
         eprintln!(
             "checkpoint-worker: shard={wi}/{wof} groups={} resumed={} executed={} \
-             skipped={} failures={} discarded={} written={} bytes={}",
+             twinned={} skipped={} failures={} discarded={} written={} bytes={}",
             run.total_groups,
             run.resumed_groups,
             run.executed_groups,
+            run.twinned_groups,
             run.skipped_groups,
             run.failures.len(),
             s.discarded,

@@ -59,6 +59,10 @@ impl Kernel for Exploding {
             precision_bits: 8,
             is_float: false,
             auto: swan_core::AutoOutcome::SameAsScalar,
+            // Every implementation runs the same exploding code, so
+            // the Auto group is measured from (and fails with) its
+            // Scalar twin.
+            auto_stream: Some(Impl::Scalar),
             obstacles: &[],
             patterns: &[],
             tolerance: 0.0,

@@ -249,27 +249,33 @@ fn resume_reexecutes_nothing_and_matches_serial_bitwise() {
     assert_eq!(half.executed_groups + half.skipped_groups, total_groups);
     assert_eq!(
         runs.load(Ordering::SeqCst),
-        half.executed_groups,
-        "one functional execution per executed group"
+        half.executed_groups - half.twinned_groups,
+        "one functional execution per executed group not measured from \
+         its twin"
     );
 
-    // Phase 2: full resume — only the other shard's groups execute.
+    // Phase 2: full resume — only the other shard's groups execute, and
+    // an Auto group among them whose twin was journaled in phase 1
+    // copies the resumed twin.
     let full = campaign.execute(&kernels, &plan, |_| {});
     assert!(full.failures.is_empty());
     assert_eq!(full.resumed_groups, half.executed_groups);
     assert_eq!(full.executed_groups, half.skipped_groups);
+    assert!(full.twinned_groups > 0, "resumed twins are used");
+    let distinct_runs = total_groups - half.twinned_groups - full.twinned_groups;
     assert_eq!(
         runs.load(Ordering::SeqCst),
-        total_groups,
-        "across both runs every group executes exactly once: \
-         resumed groups cost zero functional re-executions"
+        distinct_runs,
+        "across both runs every group executes at most once: resumed \
+         groups and twinned groups cost zero functional executions"
     );
 
     // Phase 3: the journal now satisfies the whole plan for free.
     let replay = campaign.execute(&kernels, &plan, |_| {});
     assert_eq!(replay.resumed_groups, total_groups);
     assert_eq!(replay.executed_groups, 0);
-    assert_eq!(runs.load(Ordering::SeqCst), total_groups, "still zero");
+    assert_eq!(replay.twinned_groups, 0);
+    assert_eq!(runs.load(Ordering::SeqCst), distinct_runs, "still zero");
 
     let serial = Campaign::default()
         .execute(&kernels, &plan, |_| {})

@@ -101,6 +101,7 @@ impl Kernel for Exploding {
             precision_bits: 32,
             is_float: true,
             auto: swan_core::AutoOutcome::SameAsScalar,
+            auto_stream: Some(Impl::Scalar),
             obstacles: &[],
             patterns: &[],
             tolerance: 0.0,

@@ -6,14 +6,17 @@
 //! state must have been allocated when the models were built. The
 //! same holds for the loop that warms the cores while a kernel
 //! records: a `WarmingSink` allocates its arena of memory references
-//! when it is built and nothing while it is fed.
+//! when it is built and nothing while it is fed. And the tracer stages
+//! the sources and literal bytes of the intrinsics it records on the
+//! stack, so tracing them allocates nothing either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use swan_core::WarmingSink;
+use swan_simd::trace::stream_into_at;
 use swan_simd::trace::{Class, HashSink, MemRef, TraceSink, DEFAULT_BATCH_INSTRS};
-use swan_simd::{Op, TraceInstr};
+use swan_simd::{Op, TraceInstr, Vreg, Width};
 use swan_uarch::{CoreConfig, MultiCore};
 
 /// Counts allocations made by threads that opted in, per thread, so
@@ -182,4 +185,29 @@ fn warming_sink_never_allocates_after_construction() {
         total.div_ceil(DEFAULT_BATCH_INSTRS as u64),
         "full batches, then one partial"
     );
+}
+
+#[test]
+fn traced_literals_strided_stores_and_table_lookups_never_allocate() {
+    for w in [Width::W128, Width::W1024] {
+        let n = w.lanes::<u8>();
+        let lanes: Vec<u8> = (0..n).map(|i| i as u8).collect();
+        let mut dst = vec![0u8; 4 * n];
+        let (_, hash, allocs) = stream_into_at(w, HashSink::new(), || {
+            swan_simd::with_buffers!(dst);
+            // The literal pool allocates its key on the first miss only.
+            let a = Vreg::<u8>::from_lanes(w, &lanes);
+            let b = a.add(a);
+            allocations_during(|| {
+                let c = Vreg::<u8>::from_lanes(w, &lanes);
+                Vreg::store2(&[a, c], &mut dst, 0);
+                Vreg::store3(&[a, b, c], &mut dst, 0);
+                Vreg::store4(&[a, b, c, a], &mut dst, 0);
+                let t = Vreg::tbl(&[a, b, c, a], c);
+                t.store(&mut dst, 0);
+            })
+        });
+        assert_eq!(allocs, 0, "allocations while tracing at {w}");
+        assert_eq!(hash.count(), 8, "every traced instruction reached the sink");
+    }
 }

@@ -256,9 +256,11 @@ impl Runnable for CountingRunnable {
 }
 
 /// The record-once guarantee, asserted directly: executing a campaign
-/// plan performs exactly one functional kernel execution per scenario
-/// group — not a warm+timed pair, and independent of how many cores
-/// the group fans out to or how many workers shard it.
+/// plan performs exactly one functional kernel execution per distinct
+/// instruction stream — not a warm+timed pair, independent of how many
+/// cores a group fans out to or how many workers shard it, and none for
+/// an Auto group whose kernel declares that Auto runs the stream of a
+/// twin group the plan also measures.
 #[test]
 fn each_scenario_group_executes_its_kernel_exactly_once() {
     let runs = Arc::new(AtomicUsize::new(0));
@@ -275,14 +277,30 @@ fn each_scenario_group_executes_its_kernel_exactly_once() {
     let plan = swan_core::plan(&kernels, Scale::test(), SEED);
     let groups: std::collections::HashSet<String> = plan.iter().map(|sc| sc.stream_id()).collect();
     assert!(plan.len() > groups.len(), "groups must fan out to cores");
+    // The full plan measures every 128-bit Scalar and Neon stream on
+    // Prime, so each Auto group with a declared twin runs no stream of
+    // its own.
+    let twinned: std::collections::HashSet<String> = plan
+        .iter()
+        .filter(|sc| sc.imp == Impl::Auto && kernels[sc.kernel].meta().auto_stream.is_some())
+        .map(|sc| sc.stream_id())
+        .collect();
+    assert!(!twinned.is_empty(), "the first kernels declare Auto twins");
+    let distinct_streams = groups.len() - twinned.len();
     for threads in [1, 2] {
         runs.store(0, Ordering::SeqCst);
-        let results = execute(&kernels, &plan, threads);
-        assert_eq!(results.len(), plan.len());
+        let run = Campaign {
+            threads,
+            ..Campaign::default()
+        }
+        .execute(&kernels, &plan, |_| {});
+        assert_eq!(run.executed_groups, groups.len());
+        assert_eq!(run.twinned_groups, twinned.len());
+        assert_eq!(run.complete().len(), plan.len());
         assert_eq!(
             runs.load(Ordering::SeqCst),
-            groups.len(),
-            "exactly one functional execution per scenario group \
+            distinct_streams,
+            "exactly one functional execution per distinct stream \
              ({threads} threads)"
         );
     }
