@@ -388,7 +388,7 @@ fn profile_overhead(c: &mut Criterion) {
         let mut multi = MultiCore::new(cfgs);
         multi.begin_warm();
         enc.replay_batches(|batch| {
-            let _span = profile::ProfileScope::enter(profile::Phase::Warm);
+            let _span = profile::ProfileScope::enter(profile::Phase::ReplayWarm);
             multi.warm_batch(batch)
         });
         multi.begin_timed();

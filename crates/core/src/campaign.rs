@@ -8,14 +8,17 @@
 //! workers: scenarios sharing one instruction stream (same kernel,
 //! implementation, width — [`Scenario::stream_id`]) are measured from
 //! a *single* functional execution, recorded through the trace codec
-//! while it warms every member's core model, then replayed once, timed,
+//! while it warms the members' core models, then replayed once, timed,
 //! into those models, so the shard unit is a stream group, far finer
-//! than a whole kernel. An Auto group whose kernel declares that its
-//! Auto build runs the Scalar or Neon code
-//! ([`KernelMeta::auto_stream`]) is a second group of an identical
-//! stream: when its twin group is measured by the same call, it copies
-//! the twin's measurements instead of executing. So the emulator runs
-//! each distinct stream only once per call. [`aggregate`] folds per-scenario [`Measurement`]s back into
+//! than a whole kernel. Members whose cores differ only in clock and
+//! energy ([`swan_uarch::CoreConfig::same_timing`]: Gold and the
+//! Figure 5(b) `4W-2V` baseline against Prime) share one model. An
+//! Auto group whose kernel declares that its Auto build runs the
+//! Scalar or Neon code ([`KernelMeta::auto_stream`]) is a second
+//! group of an identical stream: when its twin group is measured by
+//! the same call, it copies the twin's measurements instead of
+//! executing. So the emulator runs each distinct stream only once per
+//! call. [`aggregate`] folds per-scenario [`Measurement`]s back into
 //! [`KernelResults`]/[`SuiteResults`], so every `report::fig*/tab*`
 //! generator consumes the same shapes as before.
 //!
@@ -27,14 +30,17 @@
 use crate::checkpoint::CampaignJournal;
 use crate::kernel::{Impl, Kernel, KernelMeta, Scale};
 use crate::report::{KernelResults, SuiteResults, FIG5_KERNELS};
-use crate::runner::{measure_warmed, record_warmed, width_factor, GroupRecording, Measurement};
+use crate::runner::{
+    measure_warmed, record_warmed, width_factor, GroupCores, GroupRecording, Measurement,
+};
 use crate::scenario::Scenario;
 use crate::tracestore::TraceStore;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use swan_simd::Width;
-use swan_uarch::{CoreConfig, CoreId, MultiCore};
+use swan_uarch::{CoreConfig, CoreId};
 
 /// Run `work(i)` for `i in 0..n` across up to `workers` scoped
 /// threads (1 = inline on the caller), returning the results in index
@@ -237,6 +243,10 @@ pub struct CampaignRun {
     /// Of `executed_groups`, the Auto groups measured from their twin
     /// (see [`Campaign::execute`]) without an execution of their own.
     pub twinned_groups: usize,
+    /// Member scenarios of the groups this run drove that were
+    /// measured from another member's timing-equivalent core model
+    /// ([`swan_uarch::CoreConfig::same_timing`]) instead of their own.
+    pub shared_cores: usize,
     /// Groups left to other workers' shards.
     pub skipped_groups: usize,
 }
@@ -266,14 +276,17 @@ impl Campaign<'_> {
     /// Execute every scenario of `plan`, returning one slot per
     /// scenario in plan order. Each group not resumed from the journal
     /// or left to another shard is recorded once while it warms one core
-    /// model per member scenario, then replayed once, timed, into those
-    /// models (see [`crate::runner`]) — unless it is an Auto group whose
-    /// twin this call also measures. A kernel whose Auto build runs the
-    /// code of another implementation declares it
-    /// ([`KernelMeta::auto_stream`]); its Auto@128 stream is then
-    /// byte-identical to that twin's 128-bit stream, and the width
-    /// factor is 1.0 for both, so each member of the Auto group copies
-    /// the twin group's [`Measurement`] for the same core. That holds
+    /// model per distinct timing among its members, then replayed once,
+    /// timed, into those models (see [`crate::runner`]) — unless it is
+    /// an Auto group whose twin this call also measures. Members whose
+    /// cores share their timing ([`swan_uarch::CoreConfig::same_timing`])
+    /// take one model's cycles and statistics with their own `seconds`
+    /// and energy, counted in [`CampaignRun::shared_cores`]. A kernel
+    /// whose Auto build runs the code of another implementation
+    /// declares it ([`KernelMeta::auto_stream`]); its Auto@128 stream
+    /// is then byte-identical to that twin's 128-bit stream, and the
+    /// width factor is 1.0 for both, so each member of the Auto group
+    /// copies the twin group's [`Measurement`] for the same core. That holds
     /// when the twin group (same kernel, scale and seed) covers every
     /// member core and is executed or resumed by this call; otherwise,
     /// as in an `impl=auto`-only plan or a shard without the twin, the
@@ -317,6 +330,7 @@ impl Campaign<'_> {
             .filter(|&gi| twin[gi].is_none())
             .collect();
         let driven_groups: Vec<&[usize]> = driven.iter().map(|&gi| groups[gi].as_slice()).collect();
+        let shared_cores = AtomicUsize::new(0);
         let results = drive_groups(
             kernels,
             plan,
@@ -324,10 +338,12 @@ impl Campaign<'_> {
             self.threads,
             self.store,
             &progress,
-            |rec, cores, cfgs, group| {
+            |rec, cores, group| {
                 let sc = &plan[group[0]];
-                let ms = measure_warmed(rec, cores, cfgs, width_factor(sc.imp, sc.width));
+                let shared = cores.shared();
+                let ms = measure_warmed(rec, cores, width_factor(sc.imp, sc.width));
                 self.journal_group(plan, group, &ms);
+                shared_cores.fetch_add(shared, Ordering::Relaxed);
                 ms
             },
         );
@@ -376,6 +392,7 @@ impl Campaign<'_> {
             resumed_groups,
             executed_groups: work.len() - failures.len(),
             twinned_groups,
+            shared_cores: shared_cores.into_inner(),
             skipped_groups,
             failures,
         }
@@ -437,9 +454,9 @@ fn auto_twins(
 /// The group driver shared by [`Campaign::execute`] and
 /// [`crate::golden::collect`]: for each group of `work`, sharded across
 /// `threads` workers, report progress, obtain the group's recording
-/// (consulting `store`) together with one core model per member
-/// scenario, warmed on its stream, and hand both, with the members'
-/// core configurations, to `body`, which runs the timed pass.
+/// (consulting `store`) together with the members' core models (one
+/// per distinct timing, see [`crate::runner`]), warmed on its stream,
+/// and hand both to `body`, which runs the timed pass.
 /// A panic anywhere in a group becomes a [`KernelFailure`] naming the
 /// group's stream (shard workers must not panic). Results come back in
 /// `work` order.
@@ -450,7 +467,7 @@ pub(crate) fn drive_groups<T: Send>(
     threads: usize,
     store: Option<&TraceStore>,
     progress: &(dyn Fn(&str) + Sync),
-    body: impl Fn(GroupRecording, MultiCore, &[CoreConfig], &[usize]) -> Vec<T> + Sync,
+    body: impl Fn(GroupRecording, GroupCores, &[usize]) -> Vec<T> + Sync,
 ) -> Vec<Result<Vec<T>, KernelFailure>> {
     shard_indexed(work.len(), threads, |wi| {
         let group = work[wi];
@@ -461,7 +478,7 @@ pub(crate) fn drive_groups<T: Send>(
             let cfgs: Vec<CoreConfig> = group.iter().map(|&i| plan[i].core.config()).collect();
             let (rec, cores) =
                 record_warmed(kernel, sc.imp, sc.width, sc.scale, sc.seed, store, &cfgs);
-            body(rec, cores, &cfgs, group)
+            body(rec, cores, group)
         }))
         .map_err(|p| KernelFailure {
             id: sc.kernel_id.clone(),

@@ -19,12 +19,12 @@
 
 use crate::campaign::{drive_groups, execution_groups, scatter_groups, KernelFailure};
 use crate::kernel::{Kernel, Scale};
-use crate::runner::{replay_timed, GroupRecording};
+use crate::runner::{replay_timed, GroupCores, GroupRecording};
 use crate::scenario::Scenario;
 use crate::tracestore::TraceStore;
 use std::fmt::Write as _;
 use swan_simd::trace::{HashSink, TraceSink};
-use swan_uarch::{MultiCore, SimResult};
+use swan_uarch::SimResult;
 
 /// One golden record: everything that must stay bit-identical for one
 /// scenario of the campaign.
@@ -58,7 +58,7 @@ pub struct GoldenEntry {
 /// a warm store, and no store.
 fn hash_group(
     rec: GroupRecording,
-    mut cores: MultiCore,
+    mut cores: GroupCores,
     plan: &[Scenario],
     group: &[usize],
 ) -> Vec<GoldenEntry> {
@@ -108,7 +108,7 @@ pub fn collect(
         threads,
         store,
         &progress,
-        |rec, cores, _, group| hash_group(rec, cores, plan, group),
+        |rec, cores, group| hash_group(rec, cores, plan, group),
     );
     let mut failures = Vec::new();
     let per_group: Vec<Vec<GoldenEntry>> = results

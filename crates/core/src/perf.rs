@@ -175,7 +175,7 @@ pub fn probe(
         batch.begin_warm();
         let t0 = Instant::now();
         rec.replay_batches(|b| {
-            let _span = crate::profile::ProfileScope::enter(crate::profile::Phase::Warm);
+            let _span = crate::profile::ProfileScope::enter(crate::profile::Phase::ReplayWarm);
             batch.warm_batch(b)
         });
         rep.warm_ns += t0.elapsed().as_nanos();
@@ -187,7 +187,7 @@ pub fn probe(
         });
         rep.timed_ns += t0.elapsed().as_nanos();
         let bstats = batch.batch_stats();
-        crate::profile::add_counts(crate::profile::Phase::Warm, bstats.warm_instrs, 0);
+        crate::profile::add_counts(crate::profile::Phase::ReplayWarm, bstats.warm_instrs, 0);
         crate::profile::add_counts(crate::profile::Phase::Timed, bstats.timed_instrs, 0);
     }
     rep

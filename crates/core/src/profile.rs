@@ -19,7 +19,7 @@
 //!   so the disabled cost is far below 1% of the `--perf` headline
 //!   (see `docs/PERFORMANCE.md`).
 //! - **Zero allocation in steady state.** The phase tree is static:
-//!   twelve slots of relaxed atomics, no maps, no strings, no heap
+//!   thirteen slots of relaxed atomics, no maps, no strings, no heap
 //!   traffic while measuring. Allocation happens only when a
 //!   [`snapshot`] is rendered.
 //! - **Bit-identity is untouched.** Timers observe the pipeline, they
@@ -76,49 +76,55 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Functional kernel execution under the recording codec
-    /// (`runner::record_group`), excluding spill I/O.
+    /// (`runner::record_group`), excluding spill I/O and live warming.
     Record = 0,
     /// Chunk writes of a spilling recording ([`swan_simd::SpillSink`])
     /// — measured inside the codec, charged under [`Phase::Record`].
     Spill = 1,
+    /// Cache-warming batch stepping of the core models on the live
+    /// stream while a fresh or store-miss group records, nested inside
+    /// [`Phase::Record`].
+    Warm = 2,
     /// Trace-store lookup: open, verify, and index a stored recording.
-    StoreLookup = 2,
+    StoreLookup = 3,
     /// Trace-store commit: seal and publish a freshly spilled entry.
-    StoreCommit = 3,
+    StoreCommit = 4,
     /// Decoding recorded streams into instruction batches (in-memory
     /// arena refills and the store path's read + digest-verify +
     /// expand segments) — measured inside the codec.
-    Decode = 4,
-    /// Cache-warming batch stepping of the core models: nested inside
-    /// [`Phase::Record`] while a fresh group warms on its live stream,
-    /// a replay of its own on a trace-store hit.
-    Warm = 5,
+    Decode = 5,
+    /// Cache-warming batch stepping of the core models by a replay of
+    /// a recording that has no live stream: a trace-store hit, or the
+    /// two-pass `runner::measure_recorded`.
+    ReplayWarm = 6,
     /// Timed batch replay into the core models (the measured pass).
-    Timed = 6,
+    Timed = 7,
     /// Checkpoint journal entry writes (serialize + fsync + rename).
-    CheckpointWrite = 7,
+    CheckpointWrite = 8,
     /// Checkpoint journal entry loads (read + verify + decode).
-    CheckpointLoad = 8,
+    CheckpointLoad = 9,
     /// `swan-serve`: answering a group from the warm result cache.
-    ServeCache = 9,
+    ServeCache = 10,
     /// `swan-serve`: waiting on another request's in-flight execution.
-    ServeShared = 10,
+    ServeShared = 11,
     /// `swan-serve`: executing a group on this request's behalf.
-    ServeFresh = 11,
+    ServeFresh = 12,
 }
 
 /// Number of phases (size of the static slot table).
-pub const PHASE_COUNT: usize = 12;
+pub const PHASE_COUNT: usize = 13;
 
 impl Phase {
-    /// Every phase, in slot order (the order of tables and JSON).
+    /// Every phase, in slot order (the order of tables and JSON): each
+    /// child right after its parent, so the table reads as the tree.
     pub const ALL: [Phase; PHASE_COUNT] = [
         Phase::Record,
         Phase::Spill,
+        Phase::Warm,
         Phase::StoreLookup,
         Phase::StoreCommit,
         Phase::Decode,
-        Phase::Warm,
+        Phase::ReplayWarm,
         Phase::Timed,
         Phase::CheckpointWrite,
         Phase::CheckpointLoad,
@@ -136,6 +142,7 @@ impl Phase {
             Phase::StoreCommit => "store_commit",
             Phase::Decode => "decode",
             Phase::Warm => "warm",
+            Phase::ReplayWarm => "replay_warm",
             Phase::Timed => "timed",
             Phase::CheckpointWrite => "checkpoint_write",
             Phase::CheckpointLoad => "checkpoint_load",
@@ -149,7 +156,7 @@ impl Phase {
     /// stack nesting).
     pub fn parent(self) -> Option<Phase> {
         match self {
-            Phase::Spill => Some(Phase::Record),
+            Phase::Spill | Phase::Warm => Some(Phase::Record),
             _ => None,
         }
     }
@@ -164,7 +171,8 @@ impl Phase {
             Phase::StoreLookup => "swan;campaign;store_lookup",
             Phase::StoreCommit => "swan;campaign;store_commit",
             Phase::Decode => "swan;campaign;decode",
-            Phase::Warm => "swan;campaign;warm",
+            Phase::Warm => "swan;campaign;record;warm",
+            Phase::ReplayWarm => "swan;campaign;replay_warm",
             Phase::Timed => "swan;campaign;timed",
             Phase::CheckpointWrite => "swan;campaign;checkpoint_write",
             Phase::CheckpointLoad => "swan;campaign;checkpoint_load",
@@ -629,6 +637,26 @@ mod tests {
         LOCK.get_or_init(|| Mutex::new(()))
             .lock()
             .unwrap_or_else(|e| e.into_inner())
+    }
+
+    #[test]
+    fn children_fold_under_their_parent_and_follow_it_in_slot_order() {
+        for (i, &phase) in Phase::ALL.iter().enumerate() {
+            assert_eq!(phase as usize, i, "{phase:?} indexes its own slot");
+            if let Some(parent) = phase.parent() {
+                assert!(
+                    phase.path().starts_with(&format!("{};", parent.path())),
+                    "{phase:?} folds under {parent:?}"
+                );
+                let at = Phase::ALL.iter().position(|&p| p == parent).unwrap();
+                assert!(
+                    Phase::ALL[at + 1..=i]
+                        .iter()
+                        .all(|p| p.parent() == Some(parent)),
+                    "{phase:?} is listed right after {parent:?}'s other children"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,25 +6,31 @@
 //! encodes the dynamic instruction stream into a compact replay
 //! buffer. While it records, a [`WarmingSink`] cuts the live stream
 //! into batches and warms one incremental [`swan_uarch::CoreModel`]
-//! per core configuration with their memory references (§4.3), so the
-//! recording is decoded only once, for the timed pass. N
+//! per distinct core timing with their memory references (§4.3), so
+//! the recording is decoded only once, for the timed pass. N
 //! configurations cost one functional execution plus one stream
 //! decode, mirroring the paper's capture-one-trace,
-//! replay-into-every-core methodology. A trace-store hit has no live
-//! stream; it warms with one replay and is timed with a second.
-//! [`measure`] is the single-point form; whole plans go through
-//! [`crate::campaign::Campaign::execute`], which runs this path once
-//! per distinct stream: an Auto group that runs the same stream as a
-//! Scalar or Neon group of the same call copies that group's
+//! replay-into-every-core methodology. Configurations that differ only
+//! in clock and energy ([`CoreConfig::same_timing`]: Gold and the
+//! Figure 5(b) `4W-2V` baseline against Prime) share one model; each
+//! member still gets its own `seconds` and energy. A trace-store hit
+//! has no live stream; it warms with one replay and is timed with a
+//! second. [`measure`] is the single-point form; whole plans go
+//! through [`crate::campaign::Campaign::execute`], which runs this path
+//! once per distinct stream: an Auto group that runs the same stream as
+//! a Scalar or Neon group of the same call copies that group's
 //! measurements.
 //!
 //! [`record_group`] + [`measure_recorded`] are the two-pass form of
 //! the same measurement (record, then replay warm + timed), kept for
-//! callers that hold a recording apart from its cores. Both forms give
-//! identical [`Measurement`]s: the warm pass sees the same addresses in
-//! the same order, and batch boundaries never change a result
-//! (`tests/warm_on_record.rs`). Replay is bit-identical to the live
-//! stream (the codec's contract; the `streaming_equivalence`
+//! callers that hold a recording apart from its cores. It still steps
+//! one model per configuration, shared timing or not: the benchmark's
+//! traced pass times its per-layer copy against exactly that form.
+//! Both forms give identical [`Measurement`]s: the warm pass sees the
+//! same addresses in the same order, batch boundaries never change a
+//! result, and a shared model finalizes to what each member's own
+//! model would (`tests/warm_on_record.rs`). Replay is bit-identical to
+//! the live stream (the codec's contract; the `streaming_equivalence`
 //! integration tests hold a whole campaign to a live-execution
 //! reference).
 
@@ -308,10 +314,10 @@ fn warm_by_replay(rec: &mut GroupRecording, cores: &mut MultiCore) {
     // chunk reads — times itself inside the codec, so span time here
     // is purely model stepping.
     rec.replay_batches(|b| {
-        let _span = ProfileScope::enter(Phase::Warm);
+        let _span = ProfileScope::enter(Phase::ReplayWarm);
         cores.warm_batch(b)
     });
-    profile::add_counts(Phase::Warm, cores.batch_stats().warm_instrs, 0);
+    profile::add_counts(Phase::ReplayWarm, cores.batch_stats().warm_instrs, 0);
 }
 
 /// [`record_group`], optionally with cores: `cores`, when given, come
@@ -435,10 +441,67 @@ pub fn record_group(
     obtain_group(kernel, imp, w, scale, seed, store, None).0
 }
 
-/// Obtain a scenario group's recording together with one core model
-/// per entry of `cfgs`, already warmed on its stream: live while a
-/// fresh or store-miss group records, by one replay on a store hit.
-/// [`measure_warmed`] then runs the timed pass.
+/// The core models of one group's member configurations: one
+/// [`MultiCore`] model per distinct timing
+/// ([`CoreConfig::same_timing`]), in order of first appearance, each
+/// measuring every member with that timing.
+#[derive(Debug)]
+pub(crate) struct GroupCores {
+    models: MultiCore,
+    /// The members' configurations, in member order.
+    cfgs: Vec<CoreConfig>,
+    /// For each member, the index of the model that measures it.
+    model_of: Vec<usize>,
+}
+
+impl GroupCores {
+    /// Cold models for the members `cfgs`.
+    fn new(cfgs: &[CoreConfig]) -> GroupCores {
+        let mut distinct: Vec<&CoreConfig> = Vec::new();
+        let model_of = cfgs
+            .iter()
+            .map(|cfg| {
+                distinct
+                    .iter()
+                    .position(|d| d.same_timing(cfg))
+                    .unwrap_or_else(|| {
+                        distinct.push(cfg);
+                        distinct.len() - 1
+                    })
+            })
+            .collect();
+        let distinct: Vec<CoreConfig> = distinct.into_iter().cloned().collect();
+        GroupCores {
+            models: MultiCore::new(&distinct),
+            cfgs: cfgs.to_vec(),
+            model_of,
+        }
+    }
+
+    /// Members measured from another member's model.
+    pub(crate) fn shared(&self) -> usize {
+        self.cfgs.len() - self.models.len()
+    }
+
+    /// One result per member, in member order, from one per model: a
+    /// member's `seconds` come from its own clock, every other field
+    /// from its model, which steps exactly like the member's own.
+    fn expand(&self, sims: Vec<SimResult>) -> Vec<SimResult> {
+        self.cfgs
+            .iter()
+            .zip(&self.model_of)
+            .map(|(cfg, &m)| SimResult {
+                seconds: cfg.cycles_to_seconds(sims[m].cycles),
+                ..sims[m].clone()
+            })
+            .collect()
+    }
+}
+
+/// Obtain a scenario group's recording together with the core models
+/// of the member configurations `cfgs`, already warmed on its stream:
+/// live while a fresh or store-miss group records, by one replay on a
+/// store hit. [`measure_warmed`] then runs the timed pass.
 pub(crate) fn record_warmed(
     kernel: &dyn Kernel,
     imp: Impl,
@@ -447,17 +510,11 @@ pub(crate) fn record_warmed(
     seed: u64,
     store: Option<&TraceStore>,
     cfgs: &[CoreConfig],
-) -> (GroupRecording, MultiCore) {
-    let (rec, cores) = obtain_group(
-        kernel,
-        imp,
-        w,
-        scale,
-        seed,
-        store,
-        Some(MultiCore::new(cfgs)),
-    );
-    (rec, cores.expect("cores handed in come back warmed"))
+) -> (GroupRecording, GroupCores) {
+    let mut cores = GroupCores::new(cfgs);
+    let (rec, models) = obtain_group(kernel, imp, w, scale, seed, store, Some(cores.models));
+    cores.models = models.expect("cores handed in come back warmed");
+    (rec, cores)
 }
 
 /// Vector-op energy scale factor for an implementation at a width.
@@ -490,14 +547,16 @@ fn step_timed(
     cores.finalize()
 }
 
-/// The timed pass as the recording's last replay (see
-/// [`GroupRecording::replay_last`]).
+/// The timed pass over a group's warmed `cores` as the recording's
+/// last replay (see [`GroupRecording::replay_last`]). Returns one
+/// [`SimResult`] per member, in member order.
 pub(crate) fn replay_timed(
     rec: GroupRecording,
-    cores: &mut MultiCore,
+    cores: &mut GroupCores,
     observe: impl FnMut(&[TraceInstr]),
 ) -> Vec<SimResult> {
-    step_timed(cores, |f| rec.replay_last(f), observe)
+    let sims = step_timed(&mut cores.models, |f| rec.replay_last(f), observe);
+    cores.expand(sims)
 }
 
 /// Attach the energy model to one finished simulation per entry of
@@ -515,19 +574,18 @@ fn with_energy(
         .collect()
 }
 
-/// Measure a group recording on warmed `cores` (one per entry of
-/// `cfgs`, as [`record_warmed`] returns them): one timed replay, the
-/// recording's last, then the energy model. Returns one
-/// [`Measurement`] per entry of `cfgs`, in order.
+/// Measure a group recording on its warmed `cores` (as
+/// [`record_warmed`] returns them): one timed replay, the recording's
+/// last, then the energy model with each member's own configuration.
+/// Returns one [`Measurement`] per member, in member order.
 pub(crate) fn measure_warmed(
     rec: GroupRecording,
-    mut cores: MultiCore,
-    cfgs: &[CoreConfig],
+    mut cores: GroupCores,
     width_factor: f64,
 ) -> Vec<Measurement> {
     let (data, work_ops) = (rec.data.histograms(), rec.work_ops);
     let sims = replay_timed(rec, &mut cores, |_| {});
-    with_energy(&data, work_ops, cfgs, sims, width_factor)
+    with_energy(&data, work_ops, &cores.cfgs, sims, width_factor)
 }
 
 /// Measure a group recording on several core configurations: the
@@ -539,8 +597,12 @@ pub(crate) fn measure_warmed(
 /// on a second thread. Where the arena boundaries fall never changes
 /// the result (`tests/batch_equivalence.rs`), so this equals warming
 /// live while recording, as the campaign executor does. The
-/// recording is left intact for further replays. Returns one
-/// [`Measurement`] per entry of `cfgs`, in order.
+/// recording is left intact for further replays. Unlike the fused
+/// path it steps one model per entry of `cfgs` even where two share
+/// their timing ([`CoreConfig::same_timing`]), with identical results;
+/// the benchmark's traced pass times its own per-model copy against
+/// this form. Returns one [`Measurement`] per entry of `cfgs`, in
+/// order.
 pub fn measure_recorded(
     rec: &mut GroupRecording,
     cfgs: &[CoreConfig],
@@ -564,9 +626,8 @@ pub fn measure(
     scale: Scale,
     seed: u64,
 ) -> Measurement {
-    let cfgs = std::slice::from_ref(cfg);
-    let (rec, cores) = record_warmed(kernel, imp, w, scale, seed, None, cfgs);
-    measure_warmed(rec, cores, cfgs, width_factor(imp, w))
+    let (rec, cores) = record_warmed(kernel, imp, w, scale, seed, None, std::slice::from_ref(cfg));
+    measure_warmed(rec, cores, width_factor(imp, w))
         .pop()
         .expect("one config in, one measurement out")
 }
@@ -619,8 +680,9 @@ fn compare(id: &str, which: &str, expect: &[f64], got: &[f64], tol: f64) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{AutoOutcome, KernelMeta, Library, Runnable};
     use swan_simd::trace::next_value_id;
-    use swan_simd::VecSink;
+    use swan_simd::{VecSink, Vreg};
 
     const OVERHEAD_RUN: u64 = DEFAULT_BATCH_INSTRS as u64 + 1000;
 
@@ -701,5 +763,81 @@ mod tests {
         cold.begin_timed();
         cold.step_batch(&vec.instrs);
         assert_ne!(cold.finalize(), reference);
+    }
+
+    /// Sums one line in four of a buffer twice the size of Prime's
+    /// LLC, twice: independent loads that all miss, so a smaller
+    /// reorder buffer keeps fewer in flight and changes the timing.
+    struct Sweep;
+
+    struct SweepRun(Vec<f32>);
+
+    impl Runnable for SweepRun {
+        fn run(&mut self, _imp: Impl, w: Width) {
+            trace::register_slice(&self.0);
+            let mut acc = Vreg::zero(w);
+            for _ in 0..2 {
+                for off in (0..self.0.len()).step_by(64) {
+                    acc = acc.add(Vreg::load(w, &self.0, off));
+                }
+            }
+            acc.store(&mut self.0, 0);
+        }
+
+        fn output(&self) -> Vec<f64> {
+            Vec::new()
+        }
+    }
+
+    impl Kernel for Sweep {
+        fn meta(&self) -> KernelMeta {
+            KernelMeta {
+                name: "sweep",
+                library: Library::XP,
+                precision_bits: 32,
+                is_float: true,
+                auto: AutoOutcome::SameAsScalar,
+                auto_stream: None,
+                obstacles: &[],
+                patterns: &[],
+                tolerance: 0.0,
+                excluded_from_eval: false,
+            }
+        }
+
+        fn instantiate(&self, _scale: Scale, _seed: u64) -> Box<dyn Runnable> {
+            Box::new(SweepRun(vec![1.0; 1 << 20]))
+        }
+    }
+
+    #[test]
+    fn shared_timing_models_measure_like_one_model_per_config() {
+        let prime = CoreConfig::prime();
+        let cfgs = [
+            prime.clone(),
+            CoreConfig {
+                freq_ghz: 1.7,
+                energy_scale: 0.6,
+                static_watts: 0.2,
+                ..prime.clone()
+            },
+            CoreConfig {
+                rob: 64,
+                ..prime.clone()
+            },
+            CoreConfig::silver(),
+        ];
+        let (imp, w, scale) = (Impl::Neon, Width::W128, Scale::test());
+        let (rec, cores) = record_warmed(&Sweep, imp, w, scale, 1, None, &cfgs);
+        assert_eq!(cores.shared(), 1, "only the re-clocked Prime shares");
+        let shared = measure_warmed(rec, cores, 1.0);
+        let mut rec = record_group(&Sweep, imp, w, scale, 1, None);
+        assert_eq!(shared, measure_recorded(&mut rec, &cfgs, 1.0));
+        // The re-clocked member keeps Prime's cycles with its own
+        // seconds and energy; the rob-64 member has a model of its own.
+        assert_eq!(shared[1].sim.cycles, shared[0].sim.cycles);
+        assert_ne!(shared[1].sim.seconds, shared[0].sim.seconds);
+        assert_ne!(shared[1].energy_j, shared[0].energy_j);
+        assert_ne!(shared[2].sim.cycles, shared[0].sim.cycles);
     }
 }

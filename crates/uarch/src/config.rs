@@ -229,6 +229,48 @@ impl CoreConfig {
     pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
         cycles as f64 / (self.freq_ghz * 1e9)
     }
+
+    /// Whether a core model of `other` steps through every cycle
+    /// exactly like one of `self`: equal in every field except
+    /// `name`, `freq_ghz` (which only turns cycles into seconds) and
+    /// `energy_scale`/`static_watts` (which only enter
+    /// [`crate::EnergyModel`]). Two such configurations finalize to the
+    /// same [`crate::SimResult`] but for `seconds`, so one model can
+    /// measure both: the Gold core is the Prime core at a lower V/f
+    /// point (§5.5), and the Figure 5(b) `4W-2V` baseline is Prime.
+    ///
+    /// The destructuring is exhaustive, so a new field does not compile
+    /// until it is classified here.
+    pub fn same_timing(&self, other: &CoreConfig) -> bool {
+        let CoreConfig {
+            name: _,
+            freq_ghz: _,
+            decode_width,
+            commit_width,
+            rob,
+            asimd_units,
+            scalar_alus,
+            load_units,
+            store_units,
+            in_order,
+            mispredict_penalty,
+            mispredict_per_mille,
+            mem,
+            energy_scale: _,
+            static_watts: _,
+        } = self;
+        *decode_width == other.decode_width
+            && *commit_width == other.commit_width
+            && *rob == other.rob
+            && *asimd_units == other.asimd_units
+            && *scalar_alus == other.scalar_alus
+            && *load_units == other.load_units
+            && *store_units == other.store_units
+            && *in_order == other.in_order
+            && *mispredict_penalty == other.mispredict_penalty
+            && *mispredict_per_mille == other.mispredict_per_mille
+            && *mem == other.mem
+    }
 }
 
 #[cfg(test)]
@@ -276,6 +318,65 @@ mod tests {
             assert_eq!(c.config(), sweep[i]);
         }
         assert_eq!(CoreId::Sweep4W2V.config().name, "4W-2V");
+    }
+
+    #[test]
+    fn same_timing_pairs_prime_gold_and_the_sweep_baseline_only() {
+        let prime = CoreConfig::prime();
+        for c in [CoreId::Prime, CoreId::Gold, CoreId::Sweep4W2V] {
+            assert!(prime.same_timing(&c.config()), "{c}");
+            assert!(c.config().same_timing(&prime), "{c}");
+        }
+        let others = [
+            CoreId::Silver,
+            CoreId::Sweep4W4V,
+            CoreId::Sweep4W6V,
+            CoreId::Sweep6W6V,
+            CoreId::Sweep4W8V,
+            CoreId::Sweep8W8V,
+        ];
+        for (i, a) in others.into_iter().enumerate() {
+            assert!(!prime.same_timing(&a.config()), "{a} vs prime");
+            for b in others.into_iter().skip(i + 1) {
+                assert!(!a.config().same_timing(&b.config()), "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_timing_field_breaks_same_timing_and_no_other_does() {
+        let prime = CoreConfig::prime();
+        let timing: [fn(&mut CoreConfig); 12] = [
+            |c| c.decode_width += 1,
+            |c| c.commit_width += 1,
+            |c| c.rob /= 2,
+            |c| c.asimd_units += 1,
+            |c| c.scalar_alus += 1,
+            |c| c.load_units += 1,
+            |c| c.store_units += 1,
+            |c| c.in_order = !c.in_order,
+            |c| c.mispredict_penalty += 1,
+            |c| c.mispredict_per_mille += 1,
+            |c| c.mem.l2.latency += 1,
+            |c| c.mem.prefetch_degree = 0,
+        ];
+        for (i, perturb) in timing.into_iter().enumerate() {
+            let mut c = prime.clone();
+            perturb(&mut c);
+            assert!(!prime.same_timing(&c), "timing field {i}");
+            assert!(!c.same_timing(&prime), "timing field {i}");
+        }
+        let energy_or_clock: [fn(&mut CoreConfig); 4] = [
+            |c| c.name = "renamed".into(),
+            |c| c.freq_ghz = 1.7,
+            |c| c.energy_scale = 0.5,
+            |c| c.static_watts = 0.2,
+        ];
+        for (i, perturb) in energy_or_clock.into_iter().enumerate() {
+            let mut c = prime.clone();
+            perturb(&mut c);
+            assert!(prime.same_timing(&c), "non-timing field {i}");
+        }
     }
 
     #[test]

@@ -612,6 +612,12 @@ pub struct BatchStats {
 /// Fan-out driving several core models from one instruction stream:
 /// each batch is stepped through every model, so N core
 /// configurations are measured from a single recorded kernel run.
+///
+/// It builds one model per configuration it is given, even for two
+/// that share their timing ([`CoreConfig::same_timing`]). Callers that
+/// want the saving pass it only the distinct timings, as the campaign
+/// executor does. The benchmark's traced pass times its per-model copy
+/// of the pipeline against this one-model-per-configuration form.
 #[derive(Debug)]
 pub struct MultiCore {
     models: Vec<CoreModel>,

@@ -402,12 +402,13 @@ fn main() {
         let s = journal.stats();
         eprintln!(
             "checkpoint: dir={} groups={} resumed={} executed={} twinned={} \
-             skipped={} discarded={} written={} bytes={}",
+             shared={} skipped={} discarded={} written={} bytes={}",
             journal.dir().display(),
             run.total_groups,
             run.resumed_groups,
             run.executed_groups,
             run.twinned_groups,
+            run.shared_cores,
             run.skipped_groups,
             s.discarded,
             s.written,
@@ -462,11 +463,12 @@ fn main() {
         let s = journal.stats();
         eprintln!(
             "checkpoint-worker: shard={wi}/{wof} groups={} resumed={} executed={} \
-             twinned={} skipped={} failures={} discarded={} written={} bytes={}",
+             twinned={} shared={} skipped={} failures={} discarded={} written={} bytes={}",
             run.total_groups,
             run.resumed_groups,
             run.executed_groups,
             run.twinned_groups,
+            run.shared_cores,
             run.skipped_groups,
             run.failures.len(),
             s.discarded,

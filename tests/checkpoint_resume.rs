@@ -162,10 +162,25 @@ fn sigkilled_campaign_resumes_to_byte_identical_output() {
     assert_eq!(reference.stdout, again.stdout);
     let stderr = String::from_utf8_lossy(&again.stderr);
     assert!(
-        stderr.contains("executed=0") && stderr.contains("skipped=0"),
+        stderr.contains("executed=0")
+            && stderr.contains("shared=0")
+            && stderr.contains("skipped=0"),
         "complete journal must fully satisfy the plan:\n{stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Member scenarios whose core differs from Prime only in clock and
+/// energy (Gold, and the Figure 5(b) `4W-2V` baseline) in a group that
+/// also measures Prime: the members the executor measures from Prime's
+/// core model instead of their own.
+fn prime_timed_members(plan: &[Scenario]) -> usize {
+    swan_core::execution_groups(plan)
+        .iter()
+        .filter(|g| g.iter().any(|&i| plan[i].core == CoreId::Prime))
+        .flatten()
+        .filter(|&&i| matches!(plan[i].core, CoreId::Gold | CoreId::Sweep4W2V))
+        .count()
 }
 
 /// A kernel wrapper counting functional executions across instances
@@ -269,12 +284,20 @@ fn resume_reexecutes_nothing_and_matches_serial_bitwise() {
         "across both runs every group executes at most once: resumed \
          groups and twinned groups cost zero functional executions"
     );
+    let shared = prime_timed_members(&plan);
+    assert!(shared > 0 && half.shared_cores > 0 && full.shared_cores > 0);
+    assert_eq!(
+        half.shared_cores + full.shared_cores,
+        shared,
+        "every Gold and 4W-2V member is measured from Prime's model, once"
+    );
 
     // Phase 3: the journal now satisfies the whole plan for free.
     let replay = campaign.execute(&kernels, &plan, |_| {});
     assert_eq!(replay.resumed_groups, total_groups);
     assert_eq!(replay.executed_groups, 0);
     assert_eq!(replay.twinned_groups, 0);
+    assert_eq!(replay.shared_cores, 0, "resumed groups drive no core");
     assert_eq!(runs.load(Ordering::SeqCst), distinct_runs, "still zero");
 
     let serial = Campaign::default()

@@ -19,7 +19,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use swan_core::profile::{self, Phase, ProfileReport};
 use swan_core::report::{scenario_row, scenario_row_header};
-use swan_core::{filter_plan, plan, Campaign, Scale, ScenarioFilter};
+use swan_core::{filter_plan, plan, Campaign, Scale, ScenarioFilter, TraceStore};
 
 /// The profiling switch is process-global; tests that flip it
 /// serialize here so the default-parallel test harness cannot
@@ -165,6 +165,57 @@ fn profile_outputs_parse_sum_below_wall_and_fold_cleanly() {
     assert!(stderr.lines().any(|l| l.starts_with("timed")), "{stderr}");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn live_warming_folds_under_record_and_store_hits_warm_by_replay() {
+    let dir = std::env::temp_dir().join(format!("swan-profile-nest-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (rep, folded, stderr) = profiled_run(&dir);
+    // No store: every group warms on its live stream, inside its
+    // recording span.
+    assert!(folded.contains("swan;campaign;record;warm "), "{folded}");
+    assert!(
+        !folded.lines().any(|l| l.starts_with("swan;campaign;warm ")),
+        "live warming folded as a sibling of record:\n{folded}"
+    );
+    let replay = rep.phase(Phase::ReplayWarm).expect("replay_warm sampled");
+    assert_eq!(replay.calls, 0, "no store hit, no replay warm: {replay:?}");
+    // The table indents live warming under record.
+    assert!(stderr.lines().any(|l| l.starts_with("  warm ")), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A warm store: every group replays to warm, outside any record.
+    let _guard = profiling_lock();
+    let kernels = swan::suite();
+    let filter = ScenarioFilter::parse("lib=ZL,impl=neon").expect("valid filter");
+    let selected = filter_plan(
+        &plan(&kernels, Scale::test(), 42),
+        std::slice::from_ref(&filter),
+    );
+    let store_dir = std::env::temp_dir().join(format!("swan-profile-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let store = TraceStore::open(&store_dir, &kernels).expect("open store");
+    let campaign = Campaign {
+        store: Some(&store),
+        ..Campaign::default()
+    };
+    let cold = campaign.execute(&kernels, &selected, |_| {}).complete();
+    profile::reset();
+    profile::set_enabled(true);
+    let warm = campaign.execute(&kernels, &selected, |_| {}).complete();
+    profile::set_enabled(false);
+    assert_eq!(cold, warm);
+    let rep = profile::snapshot(u64::MAX);
+    let record = rep.phase(Phase::Record).expect("record sampled");
+    let live = rep.phase(Phase::Warm).expect("warm sampled");
+    let replay = rep.phase(Phase::ReplayWarm).expect("replay_warm sampled");
+    let timed = rep.phase(Phase::Timed).expect("timed sampled");
+    assert_eq!((record.calls, live.calls), (0, 0), "all store hits");
+    assert!(replay.calls > 0, "{replay:?}");
+    assert_eq!(replay.instrs, timed.instrs, "each hit warms by one replay");
+    profile::reset();
+    let _ = std::fs::remove_dir_all(&store_dir);
 }
 
 #[test]

@@ -350,6 +350,33 @@ fn multi_process_worker_shards_resume_to_serial_campaign() {
     assert!(!selected.is_empty());
     let serial = execute(&kernels, &selected, 1);
 
+    // Jointly, the workers measured every Gold or 4W-2V member from
+    // the Prime model of its group, each once (`shared=` on their
+    // `checkpoint-worker:` lines).
+    let groups = swan_core::execution_groups(&selected);
+    let want_shared = groups
+        .iter()
+        .filter(|g| g.iter().any(|&i| selected[i].core == CoreId::Prime))
+        .flatten()
+        .filter(|&&i| matches!(selected[i].core, CoreId::Gold | CoreId::Sweep4W2V))
+        .count();
+    let shared: usize = children
+        .iter()
+        .map(|out| {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let line = stderr
+                .lines()
+                .find(|l| l.starts_with("checkpoint-worker:"))
+                .unwrap_or_else(|| panic!("no checkpoint-worker line:\n{stderr}"));
+            line.split_whitespace()
+                .find_map(|tok| tok.strip_prefix("shared="))
+                .and_then(|v| v.parse::<usize>().ok())
+                .unwrap_or_else(|| panic!("no numeric shared= in: {line}"))
+        })
+        .sum();
+    assert!(want_shared > 0);
+    assert_eq!(shared, want_shared, "shared cores across the three shards");
+
     // Resume over the workers' joint journal: everything present,
     // nothing remaining, every measurement bit-identical to serial.
     let journal =
