@@ -3,11 +3,12 @@
 //! The paper's methodology replays one recorded instruction stream
 //! into every core configuration, so the reproduction's wall-clock
 //! budget is dominated by the replay hot loop. This module times that
-//! loop against itself: [`probe`] records each representative kernel
-//! once and then drives the recording through every pipeline phase —
-//! decode-only, cache warm-up and timed simulation — reporting
-//! nanoseconds per instruction for each and **instructions simulated
-//! per second** as the headline metric.
+//! loop against itself: [`probe`] runs each representative kernel
+//! untraced, traced into a null sink and recorded (splitting the record
+//! cost into execute, trace and encode), then drives the recording
+//! through every pipeline phase — decode-only, cache warm-up and timed
+//! simulation — reporting nanoseconds per instruction for each and
+//! **instructions simulated per second** as the headline metric.
 //!
 //! The same module owns the CI throughput gate: [`parse_bench_json`]
 //! reads the machine-readable report the vendored Criterion shim
@@ -19,7 +20,8 @@ use crate::kernel::{Impl, Kernel, Scale};
 use crate::runner::record_group;
 use crate::tracestore::TraceStore;
 use std::time::Instant;
-use swan_simd::Width;
+use swan_simd::trace::stream_into_at;
+use swan_simd::{Class, Op, TraceInstr, TraceSink, Width};
 use swan_uarch::{CoreConfig, MultiCore};
 
 /// One representative kernel per library, covering every figure's mix.
@@ -63,7 +65,13 @@ pub struct PerfReport {
     pub cores: usize,
     /// Decoded instructions per full replay pass, summed over kernels.
     pub instrs: u64,
-    /// Functional execution + encoding (one per kernel).
+    /// Untraced functional execution: `instantiate` + `run` with no
+    /// trace session (one per kernel).
+    pub execute_ns: u128,
+    /// Traced functional execution into a sink that drops every
+    /// instruction: emulation plus the tracer, no encoding.
+    pub trace_ns: u128,
+    /// Functional execution + tracing + encoding (one per kernel).
     pub record_ns: u128,
     /// Decode-only replay: chunk/record decode into batch arenas,
     /// no simulation.
@@ -87,6 +95,12 @@ impl PerfReport {
     /// stepped through every core model.
     pub fn sim_steps(&self) -> u64 {
         self.instrs * self.cores as u64
+    }
+
+    /// Encoding alone: recording minus the null-sink traced run
+    /// (clamped at zero when timing noise inverts them).
+    pub fn encode_ns(&self) -> u128 {
+        self.record_ns.saturating_sub(self.trace_ns)
     }
 
     /// Headline metric: instructions simulated per second on the
@@ -119,7 +133,9 @@ impl PerfReport {
                 ns_per(ns, units)
             )
         };
-        s.push_str(&row("record (execute+encode)", self.record_ns, self.instrs));
+        s.push_str(&row("execute (untraced)", self.execute_ns, self.instrs));
+        s.push_str(&row("trace (null sink)", self.trace_ns, self.instrs));
+        s.push_str(&row("encode (record-trace)", self.encode_ns(), self.instrs));
         s.push_str(&row("decode-only replay", self.decode_ns, self.instrs));
         s.push_str(&row("warm batch", self.warm_ns, self.sim_steps()));
         s.push_str(&row("timed batch", self.timed_ns, self.sim_steps()));
@@ -129,6 +145,15 @@ impl PerfReport {
         ));
         s
     }
+}
+
+/// The probe's null sink: the tracer runs in full, every instruction
+/// is dropped.
+struct Discard;
+
+impl TraceSink for Discard {
+    fn on_instr(&mut self, _: &TraceInstr) {}
+    fn on_overhead(&mut self, _: Op, _: Class, _: u32, _: u64) {}
 }
 
 /// Record every representative kernel once (Neon at 128 bits, the
@@ -151,6 +176,8 @@ pub fn probe(
         kernels: REPRESENTATIVES.len(),
         cores: cfgs.len(),
         instrs: 0,
+        execute_ns: 0,
+        trace_ns: 0,
         record_ns: 0,
         decode_ns: 0,
         warm_ns: 0,
@@ -158,6 +185,15 @@ pub fn probe(
     };
     for (lib, name) in REPRESENTATIVES {
         let k = find(kernels, lib, name);
+
+        let t0 = Instant::now();
+        k.instantiate(scale, seed).run(Impl::Neon, Width::W128);
+        rep.execute_ns += t0.elapsed().as_nanos();
+
+        let t0 = Instant::now();
+        let mut inst = k.instantiate(scale, seed);
+        stream_into_at(Width::W128, Discard, || inst.run(Impl::Neon, Width::W128));
+        rep.trace_ns += t0.elapsed().as_nanos();
 
         let t0 = Instant::now();
         let mut rec = record_group(k, Impl::Neon, Width::W128, scale, seed, store);

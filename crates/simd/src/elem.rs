@@ -7,7 +7,9 @@
 //! arithmetic, bit-level reinterpretation (for masks and `BSL`), and
 //! lossless round-trips through `f64` for input generation and checks.
 
+use crate::width::MAX_LANES;
 use std::fmt;
+use std::ops::{Index, IndexMut, Range, RangeTo};
 
 /// A lane element type.
 ///
@@ -24,6 +26,19 @@ pub trait Elem:
     const IS_FLOAT: bool;
     /// Short type name used in reports (for example `"u8"`).
     const NAME: &'static str;
+    /// Lane storage of one register: exactly one 1024-bit register of
+    /// this type, `[Self; 128 / BYTES]`, so a `Vreg` of any lane type
+    /// stays 136 bytes instead of carrying 128 lanes of every type.
+    type Lanes: Copy
+        + AsRef<[Self]>
+        + Index<usize, Output = Self>
+        + IndexMut<usize>
+        + Index<Range<usize>, Output = [Self]>
+        + IndexMut<Range<usize>>
+        + Index<RangeTo<usize>, Output = [Self]>
+        + IndexMut<RangeTo<usize>>;
+    /// All-zero lane storage.
+    const ZERO_LANES: Self::Lanes;
 
     /// The additive identity.
     fn zero() -> Self;
@@ -76,6 +91,8 @@ macro_rules! int_elem {
             const BYTES: usize = $bytes;
             const IS_FLOAT: bool = false;
             const NAME: &'static str = $name;
+            type Lanes = [$t; MAX_LANES / $bytes];
+            const ZERO_LANES: Self::Lanes = [0; MAX_LANES / $bytes];
 
             #[inline]
             fn zero() -> Self {
@@ -189,6 +206,8 @@ macro_rules! float_elem {
             const BYTES: usize = $bytes;
             const IS_FLOAT: bool = true;
             const NAME: &'static str = $name;
+            type Lanes = [$t; MAX_LANES / $bytes];
+            const ZERO_LANES: Self::Lanes = [0.0; MAX_LANES / $bytes];
 
             #[inline]
             fn zero() -> Self {
@@ -375,6 +394,8 @@ impl Elem for Half {
     const BYTES: usize = 2;
     const IS_FLOAT: bool = true;
     const NAME: &'static str = "f16";
+    type Lanes = [Half; MAX_LANES / 2];
+    const ZERO_LANES: Self::Lanes = [Half(0); MAX_LANES / 2];
 
     #[inline]
     fn zero() -> Self {

@@ -40,6 +40,7 @@
 //! assert_eq!(out[10], 20);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -279,10 +279,24 @@ fn put_zigzag(buf: &mut Vec<u8>, v: i64) {
     put_varint(buf, ((v << 1) ^ (v >> 63)) as u64);
 }
 
-#[inline]
+/// Read one varint. Most fields of a real stream (address deltas of
+/// 0, small source distances, register-sized access widths) fit one
+/// byte, so that case returns before the general loop.
+#[inline(always)]
 fn get_varint(buf: &[u8], pos: &mut usize) -> u64 {
-    let mut v = 0u64;
-    let mut shift = 0u32;
+    let b = buf[*pos];
+    *pos += 1;
+    if b & 0x80 == 0 {
+        return b as u64;
+    }
+    get_varint_tail(buf, pos, b)
+}
+
+/// The continuation bytes of a varint whose first byte was `first`.
+#[inline(never)]
+fn get_varint_tail(buf: &[u8], pos: &mut usize, first: u8) -> u64 {
+    let mut v = (first & 0x7f) as u64;
+    let mut shift = 7u32;
     loop {
         let b = buf[*pos];
         *pos += 1;
@@ -373,7 +387,10 @@ enum Rec {
 /// Parse the record at `pos`, advancing `pred`. The shared decode core
 /// of the sink path ([`decode_record`]) and the batch path
 /// ([`BatchFill`]); `buf` must hold whole records (all producers split
-/// only at record boundaries).
+/// only at record boundaries). Always inlined: in the batch fill loop
+/// the [`Rec`] then never materializes, and the decoded instruction is
+/// built straight into the arena.
+#[inline(always)]
 fn parse_record(buf: &[u8], pos: &mut usize, pred: &mut Pred) -> Rec {
     let header = buf[*pos];
     *pos += 1;
@@ -1688,6 +1705,97 @@ mod tests {
             }
         });
         assert_eq!(live, replayed);
+    }
+
+    /// Every varint field at its byte-length edges: explicit ids of 1,
+    /// 2 and 5 bytes, source distances across the 7- and 14-bit zigzag
+    /// edges, address deltas of ±1 and the `i64` extremes, and access
+    /// sizes of 1, 2 and 5 bytes. Each case replays through the sink
+    /// path and the batch path, and its encoded size pins the varint
+    /// width it was meant to hit, so the one-byte fast path cannot
+    /// drift from the general decode.
+    #[test]
+    fn varint_boundaries_roundtrip_through_both_replay_paths() {
+        let far = 0x4000_0000; // a 5-byte explicit id
+        let mut cases: Vec<(String, Vec<Call>, usize)> = Vec::new();
+        // Destination ids, each after a far id so it is never the
+        // sequential prediction: 3 + 5 bytes, then 3 + the id's varint.
+        for (id, len) in [(1u32, 1), (0x7f, 1), (0x80, 2), (u32::MAX, 5)] {
+            let calls = vec![
+                Call::Instr(ins(Op::VAlu, Class::VInt, far, &[], None)),
+                Call::Instr(ins(Op::VAlu, Class::VInt, id, &[], None)),
+            ];
+            cases.push((format!("id {id:#x}"), calls, 8 + 3 + len));
+            let calls = vec![
+                Call::Instr(ins(Op::VAlu, Class::VInt, far, &[], None)),
+                Call::Overhead(Op::SBranch, Class::SInt, id, 2),
+            ];
+            cases.push((format!("run id {id:#x}"), calls, 8 + 3 + len + 1));
+        }
+        // Source distances `dst - src` (zigzag): one explicit 3-byte
+        // dst plus the source's varint.
+        let dst = 0x10_0000u32;
+        for (delta, len) in [
+            (63i64, 1),
+            (64, 2),
+            (-64, 1),
+            (-65, 2),
+            (8191, 2),
+            (8192, 3),
+            (-8192, 2),
+            (-8193, 3),
+        ] {
+            let src = (dst as i64 - delta) as u32;
+            let calls = vec![Call::Instr(ins(Op::VAlu, Class::VInt, dst, &[src], None))];
+            cases.push((format!("src delta {delta}"), calls, 3 + 3 + len));
+        }
+        // Address deltas against the per-op prediction: a first access
+        // at 0x1000 (3 + 2 + 1 bytes), then one at prediction + delta.
+        for (delta, len) in [(1i64, 1), (-1, 1), (i64::MIN, 10), (i64::MAX, 10)] {
+            let first = MemRef {
+                addr: 0x1000,
+                bytes: 8,
+            };
+            let second = MemRef {
+                addr: 0x1008u64.wrapping_add(delta as u64),
+                bytes: 8,
+            };
+            let calls = vec![
+                Call::Instr(ins(Op::SLoad, Class::SInt, 1, &[], Some(first))),
+                Call::Instr(ins(Op::SLoad, Class::SInt, 2, &[], Some(second))),
+            ];
+            cases.push((format!("addr delta {delta}"), calls, 6 + 3 + len + 1));
+        }
+        // Access sizes: 3 + a 3-byte first-address delta + the size.
+        for (bytes, len) in [(0u32, 1), (127, 1), (128, 2), (u32::MAX, 5)] {
+            let mem = MemRef {
+                addr: 0x2000,
+                bytes,
+            };
+            let calls = vec![Call::Instr(ins(Op::VLd1, Class::VLoad, 1, &[], Some(mem)))];
+            cases.push((format!("size {bytes}"), calls, 3 + 3 + len));
+        }
+
+        for (name, calls, encoded) in &cases {
+            let feed = |sink: &mut dyn TraceSink| {
+                for c in calls {
+                    match *c {
+                        Call::Instr(ref i) => sink.on_instr(i),
+                        Call::Overhead(op, class, first_id, n) => {
+                            sink.on_overhead(op, class, first_id, n)
+                        }
+                    }
+                }
+            };
+            let (live, replayed, enc) = roundtrip(feed);
+            assert_eq!(live, replayed, "{name}: sink path");
+            assert_eq!(enc.encoded_bytes(), *encoded, "{name}: encoded size");
+            let mut expanded = VecSink::default();
+            feed(&mut expanded);
+            let mut batched = Vec::new();
+            enc.replay_batches(|b| batched.extend_from_slice(b));
+            assert_eq!(expanded.instrs, batched, "{name}: batch path");
+        }
     }
 
     #[test]

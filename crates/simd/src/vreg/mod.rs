@@ -22,7 +22,7 @@ use crate::width::{Width, MAX_LANES};
 /// operations require matching lane counts.
 #[derive(Clone, Copy)]
 pub struct Vreg<T: Elem> {
-    lanes: [T; MAX_LANES],
+    lanes: T::Lanes,
     n: u16,
     id: u32,
 }
@@ -44,14 +44,14 @@ fn vclass<T: Elem>() -> Class {
 
 impl<T: Elem> Vreg<T> {
     #[inline]
-    pub(crate) fn raw(lanes: [T; MAX_LANES], n: u16, id: u32) -> Vreg<T> {
+    pub(crate) fn raw(lanes: T::Lanes, n: u16, id: u32) -> Vreg<T> {
         Vreg { lanes, n, id }
     }
 
     #[inline]
-    pub(crate) fn empty(n: usize) -> ([T; MAX_LANES], u16) {
-        debug_assert!(n <= MAX_LANES && n > 0);
-        ([T::zero(); MAX_LANES], n as u16)
+    pub(crate) fn empty(n: usize) -> (T::Lanes, u16) {
+        debug_assert!(n <= T::ZERO_LANES.as_ref().len() && n > 0);
+        (T::ZERO_LANES, n as u16)
     }
 
     /// Number of active lanes.
@@ -985,5 +985,37 @@ mod tests {
         let a = Vreg::<f32>::from_lanes(W, &[-1.5, 2.0, -0.0, 3.0]);
         assert_eq!(a.abs().lanes(), &[1.5, 2.0, 0.0, 3.0]);
         assert_eq!(a.neg().lane_value(0), 1.5);
+    }
+
+    /// Lane storage holds exactly one 1024-bit register of each lane
+    /// type: never 128 lanes of a wide type, never too few for the
+    /// widest register.
+    #[test]
+    fn lane_storage_is_one_widest_register() {
+        fn check<T: Elem>() {
+            assert!(
+                std::mem::size_of::<Vreg<T>>() <= 136,
+                "Vreg<{}> is {} bytes",
+                T::NAME,
+                std::mem::size_of::<Vreg<T>>()
+            );
+            assert_eq!(
+                T::ZERO_LANES.as_ref().len(),
+                Width::W1024.lanes::<T>(),
+                "{}",
+                T::NAME
+            );
+        }
+        check::<u8>();
+        check::<i8>();
+        check::<u16>();
+        check::<i16>();
+        check::<u32>();
+        check::<i32>();
+        check::<u64>();
+        check::<i64>();
+        check::<f32>();
+        check::<f64>();
+        check::<crate::Half>();
     }
 }
