@@ -41,7 +41,7 @@ pub use golden::GoldenEntry;
 pub use kernel::{
     AutoObstacle, AutoOutcome, Impl, Kernel, KernelMeta, Library, Pattern, Runnable, Scale, VsNeon,
 };
-pub use perf::{find, gate, parse_bench_json, probe, BenchRow, GateOutcome, PerfReport};
+pub use perf::{find, probe, PerfReport};
 pub use profile::{Phase, PhaseSample, ProfileReport, ProfileScope};
 pub use runner::{
     measure, measure_recorded, record, record_group, verify_kernel, GroupRecording, Measurement,

@@ -10,11 +10,9 @@
 //! simulation — reporting nanoseconds per instruction for each and
 //! **instructions simulated per second** as the headline metric.
 //!
-//! The same module owns the CI throughput gate: [`parse_bench_json`]
-//! reads the machine-readable report the vendored Criterion shim
-//! writes (`BENCH_ci.json`), and [`gate`] compares element-throughput
-//! benches against a committed baseline, failing on regressions
-//! beyond a tolerance.
+//! The probe reports wall clock and is never gated: the exact work
+//! counters (executed, twinned and shared groups, functional
+//! executions, instructions) are pinned in `tests/profile_output.rs`.
 
 use crate::kernel::{Impl, Kernel, Scale};
 use crate::runner::record_group;
@@ -76,9 +74,11 @@ pub struct PerfReport {
     /// Decode-only replay: chunk/record decode into batch arenas,
     /// no simulation.
     pub decode_ns: u128,
-    /// Batch-path cache warm-up pass across all core models.
+    /// Cache warm-up across all core models: time inside the
+    /// `warm_batch` calls only, without the decode that feeds them.
     pub warm_ns: u128,
-    /// Batch-path timed simulation pass across all core models.
+    /// Timed simulation across all core models: time inside the
+    /// `step_batch` calls only, without the decode that feeds them.
     pub timed_ns: u128,
 }
 
@@ -205,274 +205,29 @@ pub fn probe(
         rep.decode_ns += t0.elapsed().as_nanos();
         rep.instrs += n;
 
-        // Per-batch profile spans mirror `runner::measure_recorded`,
-        // so `--perf --profile` attributes the probe's replay passes.
+        // The warm and timed rows time only the model calls, one
+        // `Instant` per batch, so neither includes the decode pass the
+        // row above already measures. Per-batch profile spans mirror
+        // `runner::measure_recorded`, so `--perf --profile` attributes
+        // the probe's replay passes.
         let mut batch = MultiCore::new(&cfgs);
         batch.begin_warm();
-        let t0 = Instant::now();
         rec.replay_batches(|b| {
             let _span = crate::profile::ProfileScope::enter(crate::profile::Phase::ReplayWarm);
-            batch.warm_batch(b)
+            let t = Instant::now();
+            batch.warm_batch(b);
+            rep.warm_ns += t.elapsed().as_nanos();
         });
-        rep.warm_ns += t0.elapsed().as_nanos();
         batch.begin_timed();
-        let t0 = Instant::now();
         rec.replay_batches(|b| {
             let _span = crate::profile::ProfileScope::enter(crate::profile::Phase::Timed);
-            batch.step_batch(b)
+            let t = Instant::now();
+            batch.step_batch(b);
+            rep.timed_ns += t.elapsed().as_nanos();
         });
-        rep.timed_ns += t0.elapsed().as_nanos();
         let bstats = batch.batch_stats();
         crate::profile::add_counts(crate::profile::Phase::ReplayWarm, bstats.warm_instrs, 0);
         crate::profile::add_counts(crate::profile::Phase::Timed, bstats.timed_instrs, 0);
     }
     rep
-}
-
-/// One row of the Criterion shim's JSON report.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchRow {
-    /// Benchmark id (`group/bench`).
-    pub id: String,
-    /// Median wall-clock per iteration.
-    pub median_ns: u128,
-    /// Declared element throughput per iteration, if the bench set
-    /// one (`Throughput::Elements`).
-    pub elements: Option<u64>,
-}
-
-impl BenchRow {
-    /// Elements per second, for throughput-carrying benches.
-    pub fn elems_per_sec(&self) -> Option<f64> {
-        let e = self.elements?;
-        if self.median_ns == 0 {
-            return None;
-        }
-        Some(e as f64 * 1e9 / self.median_ns as f64)
-    }
-}
-
-/// Extract a `"key": value` numeric field from one JSON object line.
-fn field_u128(line: &str, key: &str) -> Option<u128> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Unescape the shim's minimal JSON string escaping.
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(u) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(u);
-                }
-            }
-            Some(c) => out.push(c),
-            None => {}
-        }
-    }
-    out
-}
-
-/// Parse the vendored Criterion shim's JSON report (the
-/// `BENCH_ci.json` artifact). The shim writes one bench object per
-/// line; rows missing an id or median are skipped. Tolerates both
-/// format 1 (no throughput fields) and format 2 (with `elements`).
-pub fn parse_bench_json(text: &str) -> Vec<BenchRow> {
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        let Some(start) = line.find("\"id\": \"") else {
-            continue;
-        };
-        let rest = &line[start + "\"id\": \"".len()..];
-        // The id ends at the first unescaped quote.
-        let mut end = None;
-        let bytes = rest.as_bytes();
-        let mut i = 0;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'\\' => i += 2,
-                b'"' => {
-                    end = Some(i);
-                    break;
-                }
-                _ => i += 1,
-            }
-        }
-        let Some(end) = end else { continue };
-        let Some(median_ns) = field_u128(line, "median_ns") else {
-            continue;
-        };
-        rows.push(BenchRow {
-            id: unescape(&rest[..end]),
-            median_ns,
-            elements: field_u128(line, "elements").map(|e| e as u64),
-        });
-    }
-    rows
-}
-
-/// Outcome of the throughput gate: one report line per compared
-/// bench, plus the subset that regressed beyond tolerance.
-#[derive(Clone, Debug, Default)]
-pub struct GateOutcome {
-    /// One human-readable line per throughput comparison.
-    pub lines: Vec<String>,
-    /// Failures: regressions beyond tolerance and missing benches.
-    pub regressions: Vec<String>,
-}
-
-impl GateOutcome {
-    /// Whether the gate passes (no regression, nothing missing).
-    pub fn ok(&self) -> bool {
-        self.regressions.is_empty()
-    }
-}
-
-/// Compare element-throughput benches in `current` against
-/// `baseline`: any bench whose elements/sec falls below
-/// `(1 - max_regression)` of the baseline value fails the gate, as
-/// does a baseline throughput bench missing from the current run.
-/// Wall-clock-only rows (no `elements`) are informational and never
-/// gate — absolute times vary across machines, but a >`max_regression`
-/// drop in same-machine throughput means the hot loop got slower.
-pub fn gate(current: &[BenchRow], baseline: &[BenchRow], max_regression: f64) -> GateOutcome {
-    let mut out = GateOutcome::default();
-    for base in baseline {
-        let Some(base_tp) = base.elems_per_sec() else {
-            continue;
-        };
-        let Some(cur) = current.iter().find(|r| r.id == base.id) else {
-            out.regressions.push(format!(
-                "{}: present in baseline, missing from run",
-                base.id
-            ));
-            continue;
-        };
-        let Some(cur_tp) = cur.elems_per_sec() else {
-            out.regressions.push(format!(
-                "{}: baseline has throughput, current run does not",
-                base.id
-            ));
-            continue;
-        };
-        let ratio = cur_tp / base_tp;
-        let verdict = if ratio < 1.0 - max_regression {
-            out.regressions.push(format!(
-                "{}: {:.3e} elems/sec is {:.0}% of baseline {:.3e} (floor {:.0}%)",
-                base.id,
-                cur_tp,
-                ratio * 100.0,
-                base_tp,
-                (1.0 - max_regression) * 100.0
-            ));
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        out.lines.push(format!(
-            "{:<55} {:>12.3e} vs {:>12.3e} elems/sec ({:+.1}%) {verdict}",
-            base.id,
-            cur_tp,
-            base_tp,
-            (ratio - 1.0) * 100.0
-        ));
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // `probe` itself is exercised from swan-bench's tests (this crate
-    // cannot depend on the kernel inventory).
-
-    #[test]
-    fn bench_json_round_trips_through_the_parser() {
-        let text = "{\n  \"format\": 2,\n  \"benches\": [\n    \
-                    {\"id\": \"g/plain\", \"median_ns\": 1500},\n    \
-                    {\"id\": \"g/tp\", \"median_ns\": 2000, \"elements\": 4000, \
-                     \"elems_per_sec\": 2000000000}\n  ]\n}\n";
-        let rows = parse_bench_json(text);
-        assert_eq!(
-            rows,
-            vec![
-                BenchRow {
-                    id: "g/plain".into(),
-                    median_ns: 1500,
-                    elements: None
-                },
-                BenchRow {
-                    id: "g/tp".into(),
-                    median_ns: 2000,
-                    elements: Some(4000)
-                },
-            ]
-        );
-        assert_eq!(rows[1].elems_per_sec(), Some(2e9));
-        assert_eq!(rows[0].elems_per_sec(), None);
-    }
-
-    #[test]
-    fn parser_unescapes_ids() {
-        let text = "{\"id\": \"g\\\\q\\\"x\\u0041\", \"median_ns\": 7}";
-        let rows = parse_bench_json(text);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].id, "g\\q\"xA");
-    }
-
-    #[test]
-    fn gate_passes_identical_runs_and_flags_regressions() {
-        let base = vec![
-            BenchRow {
-                id: "g/tp".into(),
-                median_ns: 1000,
-                elements: Some(1000),
-            },
-            BenchRow {
-                id: "g/plain".into(),
-                median_ns: 1000,
-                elements: None,
-            },
-        ];
-        // Identical run: passes; wall-clock-only rows never compared.
-        let out = gate(&base, &base, 0.25);
-        assert!(out.ok(), "{:?}", out.regressions);
-        assert_eq!(out.lines.len(), 1);
-
-        // 10% slower: inside the 25% tolerance.
-        let slower = vec![BenchRow {
-            id: "g/tp".into(),
-            median_ns: 1100,
-            elements: Some(1000),
-        }];
-        assert!(gate(&slower, &base, 0.25).ok());
-
-        // 2x slower: regression.
-        let much_slower = vec![BenchRow {
-            id: "g/tp".into(),
-            median_ns: 2000,
-            elements: Some(1000),
-        }];
-        let out = gate(&much_slower, &base, 0.25);
-        assert!(!out.ok());
-        assert_eq!(out.regressions.len(), 1);
-
-        // Throughput bench vanished: regression.
-        let out = gate(&[], &base, 0.25);
-        assert!(!out.ok());
-    }
 }

@@ -39,9 +39,8 @@
 //! - [`ProfileReport::render_table`] — the human table behind
 //!   `swan-report --profile` (stderr, so stdout rows stay
 //!   byte-comparable);
-//! - [`ProfileReport::to_json`] — `BENCH_profile.json`, the same
-//!   line-oriented JSON family as `BENCH_baseline.json`, so the CI
-//!   gate can grow per-phase thresholds;
+//! - [`ProfileReport::to_json`] — `BENCH_profile.json`, line-oriented
+//!   JSON that [`ProfileReport::parse_json`] reads back;
 //! - [`ProfileReport::to_folded`] — folded stacks
 //!   (`swan;campaign;timed 1234` per line), directly consumable by
 //!   standard flamegraph tooling (`flamegraph.pl`, inferno, speedscope).
@@ -510,10 +509,10 @@ impl ProfileReport {
         )
     }
 
-    /// Machine-readable JSON (`BENCH_profile.json`): the same
-    /// line-oriented shape family as `BENCH_baseline.json` — one
-    /// object per line with an `"id"` and flat integer fields — so the
-    /// bench-gate's field scanner can grow per-phase thresholds.
+    /// Machine-readable JSON (`BENCH_profile.json`): one object per
+    /// line with an `"id"` and flat integer fields, so a line-oriented
+    /// field scanner ([`ProfileReport::parse_json`]) reads it back
+    /// without a JSON library.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n  \"format\": 1,\n");
@@ -541,10 +540,9 @@ impl ProfileReport {
         out
     }
 
-    /// Parse [`ProfileReport::to_json`] output back (line-oriented,
-    /// like `perf::parse_bench_json`): every line with an `"id"`
-    /// naming a known phase contributes one sample; unknown ids are
-    /// skipped so the format can grow.
+    /// Parse [`ProfileReport::to_json`] output back, line by line:
+    /// every line with an `"id"` naming a known phase contributes one
+    /// sample; unknown ids are skipped so the format can grow.
     pub fn parse_json(text: &str) -> Result<ProfileReport, String> {
         let mut wall_ns = None;
         let mut phases = Vec::new();
@@ -603,9 +601,8 @@ impl ProfileReport {
     }
 }
 
-/// `"key": <integer>` scanner over one JSON line (the same permissive
-/// style as `perf::parse_bench_json` — the emitters above write one
-/// object per line, which keeps parsing dependency-free).
+/// `"key": <integer>` scanner over one JSON line (the emitters above
+/// write one object per line, which keeps parsing dependency-free).
 fn field_u64(line: &str, key: &str) -> Option<u64> {
     let pat = format!("\"{key}\":");
     let rest = &line[line.find(&pat)? + pat.len()..];

@@ -16,7 +16,6 @@
 //! swan-report [--scale F] [--seed N] [--threads N] --golden <path>
 //! swan-report [--scale F] [--seed N] --replay-smoke
 //! swan-report [--scale F] [--seed N] [--trace-store DIR] --perf
-//! swan-report --bench-gate <current.json> <baseline.json>
 //! ```
 //!
 //! where `<what>` is any of `tab2 tab3 fig1 fig2 fig3 tab4 tab5 fig4
@@ -54,12 +53,6 @@
 //! (decode-only, warm, timed), printing ns/instr per phase and
 //! **instructions simulated per second** as the headline. Defaults to
 //! the quick scale unless `--scale` is given.
-//!
-//! `--bench-gate current.json baseline.json` compares the
-//! element-throughput benches of a `cargo bench` JSON report
-//! (`CRITERION_JSON_PATH`) against a committed baseline and exits
-//! non-zero if any regressed more than 25% — the CI guard on the
-//! replay hot loop's throughput.
 //!
 //! `--profile` composes with every measuring mode (full suite,
 //! `--only` subsets, goldens, workers, `--perf`): the
@@ -118,7 +111,7 @@ const USAGE: &str = "usage: swan-report [--quick | --scale F] [--seed N] [--thre
                      \x20                  [--profile [--profile-json PATH] [--profile-folded PATH]]\n\
                      \x20                  [--only FILTER]... [--list-scenarios]\n\
                      \x20                  [--write-golden PATH | --golden PATH]\n\
-                     \x20                  [--replay-smoke | --perf | --bench-gate CUR BASE]\n\
+                     \x20                  [--replay-smoke | --perf]\n\
                      \x20                  [tab2 tab3 fig1 fig2 fig3 tab4 tab5 fig4 fig5a\n\
                      \x20                   fig5b tab6 tab7 fig6 patterns detail all]";
 
@@ -162,7 +155,6 @@ fn main() {
     let mut list_scenarios = false;
     let mut replay_smoke = false;
     let mut perf = false;
-    let mut bench_gate: Option<(String, String)> = None;
     let mut store_dir: Option<String> = None;
     let mut store_stats = false;
     let mut checkpoint_dir: Option<String> = None;
@@ -195,14 +187,6 @@ fn main() {
             "--list-scenarios" => list_scenarios = true,
             "--replay-smoke" => replay_smoke = true,
             "--perf" => perf = true,
-            "--bench-gate" => {
-                let cur = value_of("--bench-gate", &mut args);
-                let base = match args.next() {
-                    Some(v) if !v.starts_with("--") => v,
-                    _ => die("--bench-gate needs <current.json> <baseline.json>"),
-                };
-                bench_gate = Some((cur, base));
-            }
             "--trace-store" => {
                 store_dir = Some(value_of("--trace-store", &mut args));
             }
@@ -283,9 +267,6 @@ fn main() {
     if profile_folded.is_some() && !profile {
         die("--profile-folded requires --profile");
     }
-    if profile && bench_gate.is_some() {
-        die("--bench-gate compares existing files; there is no run to --profile");
-    }
     if profile && list_scenarios {
         die("--list-scenarios plans without measuring; there is no run to --profile");
     }
@@ -319,46 +300,6 @@ fn main() {
             eprintln!("profile: folded stacks written to {path} (flamegraph.pl/inferno input)");
         }
     };
-
-    if let Some((cur_path, base_path)) = bench_gate {
-        // Pure file comparison — no kernels, no measurement.
-        let read = |path: &str| {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("read bench report {path}: {e}"));
-            let rows = swan_core::parse_bench_json(&text);
-            if rows.is_empty() {
-                eprintln!("error: no bench rows parsed from {path}");
-                std::process::exit(2);
-            }
-            rows
-        };
-        let current = read(&cur_path);
-        let baseline = read(&base_path);
-        let outcome = swan_core::gate(&current, &baseline, 0.25);
-        if outcome.lines.is_empty() {
-            eprintln!("warning: baseline {base_path} has no throughput benches; nothing gated");
-        }
-        for line in &outcome.lines {
-            println!("{line}");
-        }
-        if outcome.ok() {
-            eprintln!(
-                "bench gate OK: {} throughput bench{} within 25% of {base_path}",
-                outcome.lines.len(),
-                if outcome.lines.len() == 1 { "" } else { "es" }
-            );
-        } else {
-            for r in &outcome.regressions {
-                eprintln!("bench gate FAILED: {r}");
-            }
-            eprintln!(
-                "(regenerate the baseline with `CRITERION_JSON_PATH={base_path} \
-                 cargo bench -p swan-bench` if the change is intended)"
-            );
-            std::process::exit(1);
-        }
-        return;
-    }
 
     let kernels = swan_kernels::all_kernels();
 

@@ -4,7 +4,9 @@
 //!    byte-identical to one with it disabled — timers observe, they
 //!    never steer. Its exact work counters show each fresh group
 //!    decoded once: warm instrs equal recorded instrs, decoded instrs
-//!    equal timed instrs.
+//!    equal timed instrs. Literal pins fix how many groups the run
+//!    executes, twins and shares, and how many functional executions
+//!    and recorded instrs that costs.
 //! 2. **`BENCH_profile.json` is sane**: the file `swan-report
 //!    --profile` writes parses back, and on a single-threaded campaign
 //!    the summed exclusive phase time never exceeds the wall clock.
@@ -19,7 +21,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use swan_core::profile::{self, Phase, ProfileReport};
 use swan_core::report::{scenario_row, scenario_row_header};
-use swan_core::{filter_plan, plan, Campaign, Scale, ScenarioFilter, TraceStore};
+use swan_core::{filter_plan, plan, Campaign, CampaignRun, Scale, ScenarioFilter, TraceStore};
 
 /// The profiling switch is process-global; tests that flip it
 /// serialize here so the default-parallel test harness cannot
@@ -31,32 +33,33 @@ fn profiling_lock() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
-/// Render a small campaign subset exactly like `swan-report --only`.
-fn subset_rows() -> String {
+/// Render a small campaign subset exactly like `swan-report --only`,
+/// and return the run for its work counters.
+fn subset_rows() -> (String, CampaignRun) {
     let kernels = swan::suite();
     let full = plan(&kernels, Scale::test(), 42);
     let filter = ScenarioFilter::parse("lib=ZL").expect("valid filter");
     let selected = filter_plan(&full, std::slice::from_ref(&filter));
     assert!(!selected.is_empty());
-    let measurements = Campaign::default()
-        .execute(&kernels, &selected, |_| {})
-        .complete();
+    let run = Campaign::default().execute(&kernels, &selected, |_| {});
+    assert!(run.failures.is_empty(), "{:?}", run.failures);
     let mut out = scenario_row_header();
-    for (sc, m) in selected.iter().zip(&measurements) {
+    for (sc, m) in selected.iter().zip(&run.measurements) {
+        let m = m.as_ref().expect("every scenario measured");
         out.push_str(&scenario_row(sc, m));
         out.push('\n');
     }
-    out
+    (out, run)
 }
 
 #[test]
 fn profiling_on_and_off_are_byte_identical() {
     let _guard = profiling_lock();
     profile::set_enabled(false);
-    let off = subset_rows();
+    let (off, _) = subset_rows();
     profile::reset();
     profile::set_enabled(true);
-    let on = subset_rows();
+    let (on, run) = subset_rows();
     profile::set_enabled(false);
     assert_eq!(off, on, "profiling perturbed measured rows");
 
@@ -83,6 +86,27 @@ fn profiling_on_and_off_are_byte_identical() {
     assert_eq!(
         decode.instrs, timed.instrs,
         "a fresh group decodes its recording once, for the timed pass"
+    );
+
+    // Exact work pins: how many streams the campaign executes and how
+    // many it skips. `lib=ZL` holds two Auto groups twinned to their
+    // Neon or Scalar stream, and five members that step Prime's model:
+    // four Gold and adler32's 4W-2V. These literals are machine
+    // independent; CONTRIBUTING says when and how to update them.
+    assert_eq!(
+        (run.executed_groups, run.twinned_groups, run.shared_cores),
+        (9, 2, 5),
+        "(executed, twinned, shared) groups of lib=ZL"
+    );
+    assert_eq!(
+        (record.calls, record.instrs),
+        (7, 25_004),
+        "functional executions and recorded instrs of lib=ZL"
+    );
+    assert_eq!(
+        record.calls as usize,
+        run.executed_groups - run.twinned_groups,
+        "each executed group that is not twinned runs its kernel once"
     );
     profile::reset();
 }

@@ -133,3 +133,38 @@ fn silver_core_is_slower_than_prime() {
         );
     }
 }
+
+#[test]
+fn representatives_exist_and_cover_all_libraries() {
+    let kernels = swan::suite();
+    let mut libs = std::collections::HashSet::new();
+    for (lib, name) in swan::core::perf::REPRESENTATIVES {
+        let k = swan::core::find(&kernels, lib, name);
+        libs.insert(k.meta().library);
+    }
+    assert_eq!(libs.len(), 12);
+}
+
+#[test]
+fn perf_probe_times_every_phase() {
+    let kernels = swan::suite();
+    let rep = swan::core::probe(&kernels, Scale::test(), 42, None);
+    assert_eq!(rep.kernels, 12);
+    assert_eq!(rep.cores, 3);
+    assert!(rep.instrs > 0);
+    assert!(rep.execute_ns > 0 && rep.trace_ns > 0 && rep.record_ns > 0);
+    assert!(rep.decode_ns > 0 && rep.warm_ns > 0 && rep.timed_ns > 0);
+    assert!(rep.instrs_per_sec() > 0.0);
+    let text = rep.render();
+    for row in [
+        "execute (untraced)",
+        "trace (null sink)",
+        "encode (record-trace)",
+        "decode-only replay",
+        "warm batch",
+        "timed batch",
+    ] {
+        assert!(text.contains(row), "{row} row missing: {text}");
+    }
+    assert!(text.contains("instrs/sec"), "headline missing: {text}");
+}
