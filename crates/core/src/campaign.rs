@@ -7,18 +7,21 @@
 //! [`Campaign::execute`], shards *scenarios* across `std::thread`
 //! workers: scenarios sharing one instruction stream (same kernel,
 //! implementation, width — [`Scenario::stream_id`]) are measured from
-//! a *single* functional execution, recorded through the trace codec
-//! while it warms the members' core models, then replayed once, timed,
-//! into those models, so the shard unit is a stream group, far finer
-//! than a whole kernel. Members whose cores differ only in clock and
+//! one warm pass and one timed pass over their stream, fanned out to
+//! the members' core models, so the shard unit is a stream group, far
+//! finer than a whole kernel. With no trace store both passes execute
+//! the kernel (a fresh instance with the same seed for the timed one)
+//! and nothing is recorded; with a store, a miss executes once while
+//! it records and warms, and the timed pass replays the entry, while a
+//! hit executes nothing. Members whose cores differ only in clock and
 //! energy ([`swan_uarch::CoreConfig::same_timing`]: Gold and the
 //! Figure 5(b) `4W-2V` baseline against Prime) share one model. An
 //! Auto group whose kernel declares that its Auto build runs the
 //! Scalar or Neon code ([`KernelMeta::auto_stream`]) is a second
 //! group of an identical stream: when its twin group is measured by
 //! the same call, it copies the twin's measurements instead of
-//! executing. So the emulator runs each distinct stream only once per
-//! call. [`aggregate`] folds per-scenario [`Measurement`]s back into
+//! executing. So each distinct stream is measured once per call.
+//! [`aggregate`] folds per-scenario [`Measurement`]s back into
 //! [`KernelResults`]/[`SuiteResults`], so every `report::fig*/tab*`
 //! generator consumes the same shapes as before.
 //!
@@ -31,7 +34,8 @@ use crate::checkpoint::CampaignJournal;
 use crate::kernel::{Impl, Kernel, KernelMeta, Scale};
 use crate::report::{KernelResults, SuiteResults, FIG5_KERNELS};
 use crate::runner::{
-    measure_warmed, record_warmed, width_factor, GroupCores, GroupRecording, Measurement,
+    execute_warmed, measure_warmed, record_warmed, width_factor, GroupCores, GroupRecording,
+    Measurement,
 };
 use crate::scenario::Scenario;
 use crate::tracestore::TraceStore;
@@ -275,9 +279,11 @@ impl CampaignRun {
 impl Campaign<'_> {
     /// Execute every scenario of `plan`, returning one slot per
     /// scenario in plan order. Each group not resumed from the journal
-    /// or left to another shard is recorded once while it warms one core
-    /// model per distinct timing among its members, then replayed once,
-    /// timed, into those models (see [`crate::runner`]) — unless it is
+    /// or left to another shard warms one core model per distinct
+    /// timing among its members, then times those models on a second
+    /// pass over its stream (see [`crate::runner`]): with no store both
+    /// passes execute the kernel, with a store the warm pass records
+    /// (or a hit replays) and the timed pass replays — unless it is
     /// an Auto group whose twin this call also measures. Members whose
     /// cores share their timing ([`swan_uarch::CoreConfig::same_timing`])
     /// take one model's cycles and statistics with their own `seconds`
@@ -290,8 +296,8 @@ impl Campaign<'_> {
     /// when the twin group (same kernel, scale and seed) covers every
     /// member core and is executed or resumed by this call; otherwise,
     /// as in an `impl=auto`-only plan or a shard without the twin, the
-    /// Auto group runs its own stream. So every distinct stream
-    /// executes once. A twinned group is journaled like an executed
+    /// Auto group runs its own stream. So every distinct stream is
+    /// measured once. A twinned group is journaled like an executed
     /// one, and fails, naming its twin, when its twin fails.
     ///
     /// A panicking group becomes one [`KernelFailure`] and never
@@ -453,10 +459,13 @@ fn auto_twins(
 
 /// The group driver shared by [`Campaign::execute`] and
 /// [`crate::golden::collect`]: for each group of `work`, sharded across
-/// `threads` workers, report progress, obtain the group's recording
-/// (consulting `store`) together with the members' core models (one
-/// per distinct timing, see [`crate::runner`]), warmed on its stream,
-/// and hand both to `body`, which runs the timed pass.
+/// `threads` workers, report progress, run the warm pass on the
+/// members' core models (one per distinct timing, see
+/// [`crate::runner`]) and hand the group with its warmed cores to
+/// `body`, which runs the timed pass. With no `store` the warm pass
+/// executes the kernel and records nothing, and the timed pass executes
+/// it again (the live path); with one, the group's recording comes
+/// from the store or is spilled into it while the cores warm.
 /// A panic anywhere in a group becomes a [`KernelFailure`] naming the
 /// group's stream (shard workers must not panic). Results come back in
 /// `work` order.
@@ -476,8 +485,11 @@ pub(crate) fn drive_groups<T: Send>(
         catch_unwind(AssertUnwindSafe(|| {
             let kernel = kernels[sc.kernel].as_ref();
             let cfgs: Vec<CoreConfig> = group.iter().map(|&i| plan[i].core.config()).collect();
-            let (rec, cores) =
-                record_warmed(kernel, sc.imp, sc.width, sc.scale, sc.seed, store, &cfgs);
+            let (imp, w, scale, seed) = (sc.imp, sc.width, sc.scale, sc.seed);
+            let (rec, cores) = match store {
+                None => execute_warmed(kernel, imp, w, scale, seed, &cfgs),
+                Some(_) => record_warmed(kernel, imp, w, scale, seed, store, &cfgs),
+            };
             body(rec, cores, group)
         }))
         .map_err(|p| KernelFailure {

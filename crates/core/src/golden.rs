@@ -23,7 +23,7 @@ use crate::runner::{replay_timed, GroupCores, GroupRecording};
 use crate::scenario::Scenario;
 use crate::tracestore::TraceStore;
 use std::fmt::Write as _;
-use swan_simd::trace::{HashSink, TraceSink};
+use swan_simd::trace::HashSink;
 use swan_uarch::SimResult;
 
 /// One golden record: everything that must stay bit-identical for one
@@ -47,15 +47,14 @@ pub struct GoldenEntry {
     pub sim: SimResult,
 }
 
-/// Fold one execution group's recording into golden points with the
-/// executor's record-once / replay-once discipline: `cores` arrive
-/// warmed on the stream (live while it recorded, or by one replay of a
-/// store hit), and each decoded batch of the timed replay is stepped
-/// through the fan-out models and folded into the trace digest at once.
-/// Batch decode expands overhead runs exactly like [`HashSink`]'s
-/// default sink expansion, so digests and statistics are unchanged
-/// from a warm+timed execution pair — and identical with a cold store,
-/// a warm store, and no store.
+/// Fold one execution group into golden points: `cores` arrive warmed
+/// on the stream (see [`crate::campaign::drive_groups`]), and the timed
+/// pass steps them and hashes every instruction it times, so the
+/// digest is of exactly the timed stream. That pass executes the
+/// kernel again on the live path and replays the recording otherwise;
+/// a replay expands overhead runs exactly like [`HashSink`]'s default
+/// sink expansion, so digests and statistics are identical with no
+/// store, a cold store and a warm store.
 fn hash_group(
     rec: GroupRecording,
     mut cores: GroupCores,
@@ -63,12 +62,7 @@ fn hash_group(
     group: &[usize],
 ) -> Vec<GoldenEntry> {
     let (instrs, fallback_refs) = (rec.data.total(), rec.fallback_refs);
-    let mut hash = HashSink::new();
-    let sims = replay_timed(rec, &mut cores, |b| {
-        for ins in b {
-            hash.on_instr(ins);
-        }
-    });
+    let (sims, hash) = replay_timed(rec, &mut cores, HashSink::new());
     let trace_hash = hash.digest();
     group
         .iter()

@@ -1,8 +1,9 @@
 //! # swan-core — benchmark harness for the Swan suite
 //!
 //! Defines the [`Kernel`] abstraction the 59 Swan kernels implement,
-//! the measurement [`runner`] that records a kernel's instruction
-//! stream once and replays it into the `swan-uarch` timing models, the
+//! the measurement [`runner`] that streams a kernel's instructions
+//! into the `swan-uarch` timing models (live, or recorded once and
+//! replayed), the
 //! [`campaign`] module that expands the paper's measurement matrix
 //! into a flat [`Scenario`] plan and executes it through one
 //! [`Campaign::execute`] (sharded across threads at scenario-group
@@ -45,7 +46,7 @@ pub use perf::{find, probe, PerfReport};
 pub use profile::{Phase, PhaseSample, ProfileReport, ProfileScope};
 pub use runner::{
     measure, measure_recorded, record, record_group, verify_kernel, GroupRecording, Measurement,
-    WarmingSink,
+    TimedSink, WarmingSink,
 };
 pub use scenario::{filter_plan, Scenario, ScenarioFilter};
 pub use tracestore::{inventory_digest, StoreStats, TraceStore};

@@ -1,25 +1,27 @@
 //! Self-timing perf harness: how fast is the simulator itself?
 //!
-//! The paper's methodology replays one recorded instruction stream
-//! into every core configuration, so the reproduction's wall-clock
-//! budget is dominated by the replay hot loop. This module times that
-//! loop against itself: [`probe`] runs each representative kernel
-//! untraced, traced into a null sink and recorded (splitting the record
-//! cost into execute, trace and encode), then drives the recording
-//! through every pipeline phase — decode-only, cache warm-up and timed
-//! simulation — reporting nanoseconds per instruction for each and
-//! **instructions simulated per second** as the headline metric.
+//! A scenario group's wall clock is two functional executions (live)
+//! or one recorded execution plus one decode (record/replay), and the
+//! model stepping of a warm and a timed pass. This module times each
+//! of those layers on its own: [`probe`] builds each representative
+//! kernel's inputs, runs it untraced, traced into a null sink, recorded
+//! and traced into the live timed sink, then drives the recording
+//! through decode-only, cache warm-up and timed simulation. Every row
+//! is the median of three runs per kernel, reported as nanoseconds per
+//! instruction, with **instructions simulated per second** as the
+//! headline metric.
 //!
 //! The probe reports wall clock and is never gated: the exact work
 //! counters (executed, twinned and shared groups, functional
 //! executions, instructions) are pinned in `tests/profile_output.rs`.
 
-use crate::kernel::{Impl, Kernel, Scale};
-use crate::runner::record_group;
+use crate::kernel::{Impl, Kernel, Runnable, Scale};
+use crate::profile::{self, Phase, ProfileScope};
+use crate::runner::{record_group, TimedSink};
 use crate::tracestore::TraceStore;
 use std::time::Instant;
 use swan_simd::trace::stream_into_at;
-use swan_simd::{Class, Op, TraceInstr, TraceSink, Width};
+use swan_simd::{RecordSink, Width};
 use swan_uarch::{CoreConfig, MultiCore};
 
 /// One representative kernel per library, covering every figure's mix.
@@ -47,10 +49,11 @@ pub fn find<'a>(kernels: &'a [Box<dyn Kernel>], lib: &str, name: &str) -> &'a dy
         .as_ref()
 }
 
-/// Accumulated self-timing of the replay pipeline over the
-/// representative kernels. All `_ns` fields are wall-clock totals;
-/// [`PerfReport::instrs`] counts decoded instructions per full replay
-/// pass (each timed pass steps `instrs * cores` model steps).
+/// Accumulated self-timing of the pipeline's layers over the
+/// representative kernels. Every `_ns` field sums, over the kernels,
+/// the median of three runs; [`PerfReport::instrs`] counts decoded
+/// instructions per full replay pass (each timed pass steps
+/// `instrs * cores` model steps).
 #[derive(Clone, Debug)]
 pub struct PerfReport {
     /// Input scale the probe ran at.
@@ -63,14 +66,20 @@ pub struct PerfReport {
     pub cores: usize,
     /// Decoded instructions per full replay pass, summed over kernels.
     pub instrs: u64,
-    /// Untraced functional execution: `instantiate` + `run` with no
-    /// trace session (one per kernel).
+    /// Building a kernel instance's inputs (`instantiate`).
+    pub instantiate_ns: u128,
+    /// Untraced functional execution: `run` with no trace session.
     pub execute_ns: u128,
     /// Traced functional execution into a sink that drops every
     /// instruction: emulation plus the tracer, no encoding.
     pub trace_ns: u128,
-    /// Functional execution + tracing + encoding (one per kernel).
+    /// Functional execution + tracing + encoding.
     pub record_ns: u128,
+    /// Traced functional execution into the live timed pass's
+    /// [`TimedSink`] with no core models: emulation, the tracer and
+    /// batch collection, what the live path pays instead of encode +
+    /// decode.
+    pub reexecute_ns: u128,
     /// Decode-only replay: chunk/record decode into batch arenas,
     /// no simulation.
     pub decode_ns: u128,
@@ -133,9 +142,15 @@ impl PerfReport {
                 ns_per(ns, units)
             )
         };
+        s.push_str(&row("instantiate", self.instantiate_ns, self.instrs));
         s.push_str(&row("execute (untraced)", self.execute_ns, self.instrs));
         s.push_str(&row("trace (null sink)", self.trace_ns, self.instrs));
         s.push_str(&row("encode (record-trace)", self.encode_ns(), self.instrs));
+        s.push_str(&row(
+            "re-execute (timed sink)",
+            self.reexecute_ns,
+            self.instrs,
+        ));
         s.push_str(&row("decode-only replay", self.decode_ns, self.instrs));
         s.push_str(&row("warm batch", self.warm_ns, self.sim_steps()));
         s.push_str(&row("timed batch", self.timed_ns, self.sim_steps()));
@@ -147,18 +162,28 @@ impl PerfReport {
     }
 }
 
-/// The probe's null sink: the tracer runs in full, every instruction
-/// is dropped.
-struct Discard;
+/// Runs per row and kernel; each row takes the median.
+const RUNS: usize = 3;
 
-impl TraceSink for Discard {
-    fn on_instr(&mut self, _: &TraceInstr) {}
-    fn on_overhead(&mut self, _: Op, _: Class, _: u32, _: u64) {}
+/// The median of `RUNS` samples.
+fn median(mut samples: [u128; RUNS]) -> u128 {
+    samples.sort_unstable();
+    samples[RUNS / 2]
 }
 
-/// Record every representative kernel once (Neon at 128 bits, the
-/// dominant scenario shape) and time each replay-pipeline phase over
-/// the Prime/Gold/Silver fan-out.
+/// Nanoseconds `f` takes.
+fn time(f: impl FnOnce()) -> u128 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_nanos()
+}
+
+/// Record every representative kernel (Neon at 128 bits, the dominant
+/// scenario shape) and time each layer of the pipeline over the
+/// Prime/Gold/Silver fan-out. The execution rows each run a fresh
+/// instance whose inputs were built outside the clock; the replay rows
+/// drive the group recording [`record_group`] returns (from `store`
+/// when one is given).
 pub fn probe(
     kernels: &[Box<dyn Kernel>],
     scale: Scale,
@@ -176,33 +201,56 @@ pub fn probe(
         kernels: REPRESENTATIVES.len(),
         cores: cfgs.len(),
         instrs: 0,
+        instantiate_ns: 0,
         execute_ns: 0,
         trace_ns: 0,
         record_ns: 0,
+        reexecute_ns: 0,
         decode_ns: 0,
         warm_ns: 0,
         timed_ns: 0,
     };
+    let (imp, w) = (Impl::Neon, Width::W128);
     for (lib, name) in REPRESENTATIVES {
         let k = find(kernels, lib, name);
+        // One sample of `f` on a fresh instance, built off the clock.
+        let on_fresh = |f: &dyn Fn(&mut dyn Runnable)| {
+            let mut inst = k.instantiate(scale, seed);
+            time(|| f(&mut *inst))
+        };
 
-        let t0 = Instant::now();
-        k.instantiate(scale, seed).run(Impl::Neon, Width::W128);
-        rep.execute_ns += t0.elapsed().as_nanos();
+        rep.instantiate_ns += median(std::array::from_fn(|_| {
+            let t0 = Instant::now();
+            let inst = k.instantiate(scale, seed);
+            let ns = t0.elapsed().as_nanos();
+            drop(inst);
+            ns
+        }));
+        rep.execute_ns += median(std::array::from_fn(|_| on_fresh(&|inst| inst.run(imp, w))));
+        rep.trace_ns += median(std::array::from_fn(|_| {
+            on_fresh(&|inst| {
+                stream_into_at(w, (), || inst.run(imp, w));
+            })
+        }));
+        rep.record_ns += median(std::array::from_fn(|_| {
+            on_fresh(&|inst| {
+                let (_, rec, ()) = stream_into_at(w, RecordSink::new(), || inst.run(imp, w));
+                rec.finish();
+            })
+        }));
+        rep.reexecute_ns += median(std::array::from_fn(|_| {
+            on_fresh(&|inst| {
+                let sink = TimedSink::new((), MultiCore::new(&[]));
+                stream_into_at(w, sink, || inst.run(imp, w)).1.finish();
+            })
+        }));
 
-        let t0 = Instant::now();
-        let mut inst = k.instantiate(scale, seed);
-        stream_into_at(Width::W128, Discard, || inst.run(Impl::Neon, Width::W128));
-        rep.trace_ns += t0.elapsed().as_nanos();
-
-        let t0 = Instant::now();
-        let mut rec = record_group(k, Impl::Neon, Width::W128, scale, seed, store);
-        rep.record_ns += t0.elapsed().as_nanos();
-
-        let t0 = Instant::now();
+        let mut rec = record_group(k, imp, w, scale, seed, store);
         let mut n = 0u64;
-        rec.replay_batches(|b| n += b.len() as u64);
-        rep.decode_ns += t0.elapsed().as_nanos();
+        rep.decode_ns += median(std::array::from_fn(|_| {
+            n = 0;
+            time(|| rec.replay_batches(|b| n += b.len() as u64))
+        }));
         rep.instrs += n;
 
         // The warm and timed rows time only the model calls, one
@@ -210,24 +258,25 @@ pub fn probe(
         // row above already measures. Per-batch profile spans mirror
         // `runner::measure_recorded`, so `--perf --profile` attributes
         // the probe's replay passes.
-        let mut batch = MultiCore::new(&cfgs);
-        batch.begin_warm();
-        rec.replay_batches(|b| {
-            let _span = crate::profile::ProfileScope::enter(crate::profile::Phase::ReplayWarm);
-            let t = Instant::now();
-            batch.warm_batch(b);
-            rep.warm_ns += t.elapsed().as_nanos();
-        });
-        batch.begin_timed();
-        rec.replay_batches(|b| {
-            let _span = crate::profile::ProfileScope::enter(crate::profile::Phase::Timed);
-            let t = Instant::now();
-            batch.step_batch(b);
-            rep.timed_ns += t.elapsed().as_nanos();
-        });
-        let bstats = batch.batch_stats();
-        crate::profile::add_counts(crate::profile::Phase::ReplayWarm, bstats.warm_instrs, 0);
-        crate::profile::add_counts(crate::profile::Phase::Timed, bstats.timed_instrs, 0);
+        let (mut warm, mut timed) = ([0u128; RUNS], [0u128; RUNS]);
+        for run in 0..RUNS {
+            let mut cores = MultiCore::new(&cfgs);
+            cores.begin_warm();
+            rec.replay_batches(|b| {
+                let _span = ProfileScope::enter(Phase::ReplayWarm);
+                warm[run] += time(|| cores.warm_batch(b));
+            });
+            cores.begin_timed();
+            rec.replay_batches(|b| {
+                let _span = ProfileScope::enter(Phase::Timed);
+                timed[run] += time(|| cores.step_batch(b));
+            });
+            let stats = cores.batch_stats();
+            profile::add_counts(Phase::ReplayWarm, stats.warm_instrs, 0);
+            profile::add_counts(Phase::Timed, stats.timed_instrs, 0);
+        }
+        rep.warm_ns += median(warm);
+        rep.timed_ns += median(timed);
     }
     rep
 }

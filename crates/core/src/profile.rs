@@ -3,10 +3,10 @@
 //! The `--perf` probe answers "how fast is the hot loop"; this module
 //! answers "which pipeline phase is the bottleneck" — the same question
 //! the paper's Table 5 asks of the simulated workloads, turned on the
-//! simulator itself. Every phase of the record-once/replay-once
-//! pipeline (functional recording, trace-store I/O, chunk decode, warm
-//! and timed batch stepping, checkpoint journal writes, serve answer
-//! tiers) charges its wall time to a fixed [`Phase`] slot through a
+//! simulator itself. Every phase of the measurement pipeline
+//! (functional execution live or under the recorder, trace-store I/O,
+//! chunk decode, warm and timed batch stepping, checkpoint journal
+//! writes, serve answer tiers) charges its wall time to a fixed [`Phase`] slot through a
 //! [`ProfileScope`] RAII timer, with per-phase call, instruction, and
 //! byte counters alongside.
 //!
@@ -19,7 +19,7 @@
 //!   so the disabled cost is far below 1% of the `--perf` headline
 //!   (see `docs/PERFORMANCE.md`).
 //! - **Zero allocation in steady state.** The phase tree is static:
-//!   thirteen slots of relaxed atomics, no maps, no strings, no heap
+//!   fifteen slots of relaxed atomics, no maps, no strings, no heap
 //!   traffic while measuring. Allocation happens only when a
 //!   [`snapshot`] is rendered.
 //! - **Bit-identity is untouched.** Timers observe the pipeline, they
@@ -74,44 +74,55 @@ use std::time::Instant;
 /// across runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Functional kernel execution under the recording codec
-    /// (`runner::record_group`), excluding spill I/O and live warming.
+    /// Functional kernel execution under the recording codec (a trace
+    /// store miss, Figure 6's `runner::measure`, `runner::record_group`),
+    /// excluding spill I/O and live warming.
     Record = 0,
     /// Chunk writes of a spilling recording ([`swan_simd::SpillSink`])
     /// — measured inside the codec, charged under [`Phase::Record`].
     Spill = 1,
     /// Cache-warming batch stepping of the core models on the live
-    /// stream while a fresh or store-miss group records, nested inside
-    /// [`Phase::Record`].
-    Warm = 2,
+    /// stream while a store-miss group or a Figure 6 point records,
+    /// nested inside [`Phase::Record`].
+    RecordWarm = 2,
+    /// Functional kernel execution with no recorder: the two passes of
+    /// a store-less group, one span each (the live path of
+    /// `runner`). Excludes the model stepping nested in it.
+    Execute = 3,
+    /// Cache-warming batch stepping of the core models in the first,
+    /// warm pass of a store-less group, nested inside
+    /// [`Phase::Execute`].
+    Warm = 4,
     /// Trace-store lookup: open, verify, and index a stored recording.
-    StoreLookup = 3,
+    StoreLookup = 5,
     /// Trace-store commit: seal and publish a freshly spilled entry.
-    StoreCommit = 4,
+    StoreCommit = 6,
     /// Decoding recorded streams into instruction batches (in-memory
     /// arena refills and the store path's read + digest-verify +
     /// expand segments) — measured inside the codec.
-    Decode = 5,
+    Decode = 7,
     /// Cache-warming batch stepping of the core models by a replay of
     /// a recording that has no live stream: a trace-store hit, or the
     /// two-pass `runner::measure_recorded`.
-    ReplayWarm = 6,
-    /// Timed batch replay into the core models (the measured pass).
-    Timed = 7,
+    ReplayWarm = 8,
+    /// Timed batch stepping of the core models (the measured pass),
+    /// fed by a replay or, in the second pass of a store-less group,
+    /// nested inside [`Phase::Execute`].
+    Timed = 9,
     /// Checkpoint journal entry writes (serialize + fsync + rename).
-    CheckpointWrite = 8,
+    CheckpointWrite = 10,
     /// Checkpoint journal entry loads (read + verify + decode).
-    CheckpointLoad = 9,
+    CheckpointLoad = 11,
     /// `swan-serve`: answering a group from the warm result cache.
-    ServeCache = 10,
+    ServeCache = 12,
     /// `swan-serve`: waiting on another request's in-flight execution.
-    ServeShared = 11,
+    ServeShared = 13,
     /// `swan-serve`: executing a group on this request's behalf.
-    ServeFresh = 12,
+    ServeFresh = 14,
 }
 
 /// Number of phases (size of the static slot table).
-pub const PHASE_COUNT: usize = 13;
+pub const PHASE_COUNT: usize = 15;
 
 impl Phase {
     /// Every phase, in slot order (the order of tables and JSON): each
@@ -119,6 +130,8 @@ impl Phase {
     pub const ALL: [Phase; PHASE_COUNT] = [
         Phase::Record,
         Phase::Spill,
+        Phase::RecordWarm,
+        Phase::Execute,
         Phase::Warm,
         Phase::StoreLookup,
         Phase::StoreCommit,
@@ -137,6 +150,8 @@ impl Phase {
         match self {
             Phase::Record => "record",
             Phase::Spill => "spill",
+            Phase::RecordWarm => "record_warm",
+            Phase::Execute => "execute",
             Phase::StoreLookup => "store_lookup",
             Phase::StoreCommit => "store_commit",
             Phase::Decode => "decode",
@@ -155,7 +170,8 @@ impl Phase {
     /// stack nesting).
     pub fn parent(self) -> Option<Phase> {
         match self {
-            Phase::Spill | Phase::Warm => Some(Phase::Record),
+            Phase::Spill | Phase::RecordWarm => Some(Phase::Record),
+            Phase::Warm => Some(Phase::Execute),
             _ => None,
         }
     }
@@ -167,10 +183,12 @@ impl Phase {
         match self {
             Phase::Record => "swan;campaign;record",
             Phase::Spill => "swan;campaign;record;spill",
+            Phase::RecordWarm => "swan;campaign;record;warm",
+            Phase::Execute => "swan;campaign;execute",
             Phase::StoreLookup => "swan;campaign;store_lookup",
             Phase::StoreCommit => "swan;campaign;store_commit",
             Phase::Decode => "swan;campaign;decode",
-            Phase::Warm => "swan;campaign;record;warm",
+            Phase::Warm => "swan;campaign;execute;warm",
             Phase::ReplayWarm => "swan;campaign;replay_warm",
             Phase::Timed => "swan;campaign;timed",
             Phase::CheckpointWrite => "swan;campaign;checkpoint_write",

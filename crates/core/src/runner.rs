@@ -1,40 +1,51 @@
 //! Measurement runner: trace a kernel invocation, drive it through
 //! the timing model, and attach power/energy.
 //!
-//! There is one path, *record-once / replay-once*: the kernel
-//! executes exactly once under a [`swan_simd::RecordSink`] that
-//! encodes the dynamic instruction stream into a compact replay
-//! buffer. While it records, a [`WarmingSink`] cuts the live stream
-//! into batches and warms one incremental [`swan_uarch::CoreModel`]
-//! per distinct core timing with their memory references (§4.3), so
-//! the recording is decoded only once, for the timed pass. N
-//! configurations cost one functional execution plus one stream
-//! decode, mirroring the paper's capture-one-trace,
-//! replay-into-every-core methodology. Configurations that differ only
-//! in clock and energy ([`CoreConfig::same_timing`]: Gold and the
-//! Figure 5(b) `4W-2V` baseline against Prime) share one model; each
-//! member still gets its own `seconds` and energy. A trace-store hit
-//! has no live stream; it warms with one replay and is timed with a
-//! second. [`measure`] is the single-point form; whole plans go
-//! through [`crate::campaign::Campaign::execute`], which runs this path
-//! once per distinct stream: an Auto group that runs the same stream as
-//! a Scalar or Neon group of the same call copies that group's
-//! measurements.
+//! A scenario group is measured by a warm pass and a timed pass over
+//! its dynamic instruction stream. Both step one incremental
+//! [`swan_uarch::CoreModel`] per distinct core timing (§4.3).
+//! Configurations that differ only in clock and energy
+//! ([`CoreConfig::same_timing`]: Gold and the Figure 5(b) `4W-2V`
+//! baseline against Prime) share one model; each member still gets
+//! its own `seconds` and energy. Where each pass gets the stream
+//! depends on the trace store:
+//!
+//! - **No store: the live path.** The kernel executes twice and nothing
+//!   is recorded. The warm pass runs into a [`WarmingSink`] with no
+//!   recorder behind it, which cuts the stream into batches and warms
+//!   the cores with their memory references. The timed pass runs a
+//!   fresh instance with the same seed into a [`TimedSink`], which
+//!   steps the cores on each batch and then hands the batch on (the
+//!   golden digest hashes it). A group holds one batch of its stream,
+//!   never the whole of it.
+//! - **A store miss** executes the kernel once under the recorder,
+//!   spilling into a new entry, and warms the cores from the live
+//!   stream while it records. The timed pass replays the entry.
+//! - **A store hit** executes nothing. One replay warms, a second is
+//!   timed.
+//!
+//! [`measure`] is the single-point form, used by Figure 6: it records
+//! in memory, warming live, and replays the recording once, timed.
+//! Whole plans go through [`crate::campaign::Campaign::execute`],
+//! which measures each distinct stream once per call: an Auto group
+//! that runs the same stream as a Scalar or Neon group of the same
+//! call copies that group's measurements.
 //!
 //! [`record_group`] + [`measure_recorded`] are the two-pass form of
 //! the same measurement (record, then replay warm + timed), kept for
 //! callers that hold a recording apart from its cores. It still steps
 //! one model per configuration, shared timing or not: the benchmark's
 //! traced pass times its per-layer copy against exactly that form.
-//! Both forms give identical [`Measurement`]s: the warm pass sees the
+//! Every form gives identical [`Measurement`]s: the warm pass sees the
 //! same addresses in the same order, batch boundaries never change a
 //! result, and a shared model finalizes to what each member's own
-//! model would (`tests/warm_on_record.rs`). Replay is bit-identical to
-//! the live stream (the codec's contract; the `streaming_equivalence`
-//! integration tests hold a whole campaign to a live-execution
-//! reference).
+//! model would (`tests/warm_on_record.rs`). A fresh instance with the
+//! same seed emits the identical stream, and a replay is bit-identical
+//! to the live stream (the codec's contract); `tests/
+//! streaming_equivalence.rs` holds the live path, a cold store and a
+//! warm store to the same rows and golden entries.
 
-use crate::kernel::{Impl, Kernel, Scale};
+use crate::kernel::{Impl, Kernel, Runnable, Scale};
 use crate::profile::{self, Phase, ProfileScope};
 use crate::tracestore::{StoreKey, StoredRecording, TraceStore};
 use swan_simd::trace::{
@@ -90,11 +101,11 @@ fn attach_energy(
     }
 }
 
-/// A recorder that warms a core fan-out from the live stream: every
-/// call is forwarded to the wrapped recorder `S` (a
-/// [`RecordSink`] in memory, or a trace store's
-/// [`swan_simd::SpillSink`]), and the stream is cut into batches of
-/// [`DEFAULT_BATCH_INSTRS`] instructions, exactly where a replay of the
+/// A sink that warms a core fan-out from the live stream: every call
+/// is forwarded to the wrapped sink `S` (a [`RecordSink`] in memory, a
+/// trace store's [`swan_simd::SpillSink`], or `()` when nothing is
+/// recorded), and the stream is cut into batches of
+/// [`DEFAULT_BATCH_INSTRS`] instructions, exactly where a replay of a
 /// recording would cut it, each of which warms the cores through
 /// [`MultiCore::warm_refs`]. The warm pass reads nothing of an
 /// instruction but its memory reference, so the reusable arena holds
@@ -102,8 +113,8 @@ fn attach_energy(
 /// only advances the batch. The arena is allocated once, in the
 /// constructor; feeding the sink allocates nothing beyond what `S`
 /// itself allocates (`tests/hot_loop_alloc.rs`). Each flush is one
-/// [`Phase::Warm`] span, nested inside the recording's
-/// [`Phase::Record`] span.
+/// profiling span: [`Phase::RecordWarm`] inside a recording,
+/// [`Phase::Warm`] inside the live warm pass.
 #[derive(Debug)]
 pub struct WarmingSink<S: TraceSink> {
     inner: S,
@@ -113,19 +124,20 @@ pub struct WarmingSink<S: TraceSink> {
     /// Stream instructions in the pending batch.
     pending: u64,
     cap: u64,
+    phase: Phase,
 }
 
 impl<S: TraceSink> WarmingSink<S> {
-    /// Wrap `inner`, warming `cores` (put into their warm phase here)
-    /// in batches of [`DEFAULT_BATCH_INSTRS`] instructions.
+    /// Wrap the recorder `inner`, warming `cores` (put into their warm
+    /// phase here) in batches of [`DEFAULT_BATCH_INSTRS`] instructions.
     pub fn new(inner: S, cores: MultiCore) -> WarmingSink<S> {
-        WarmingSink::with_batch(inner, cores, DEFAULT_BATCH_INSTRS)
+        WarmingSink::with_batch(inner, cores, DEFAULT_BATCH_INSTRS, Phase::RecordWarm)
     }
 
-    /// [`WarmingSink::new`] with an explicit batch size (at least 1);
-    /// tests use tiny batches to put many batch edges into short
-    /// streams.
-    fn with_batch(inner: S, mut cores: MultiCore, cap: usize) -> WarmingSink<S> {
+    /// [`WarmingSink::new`] with an explicit batch size (at least 1)
+    /// and profiling phase; tests use tiny batches to put many batch
+    /// edges into short streams.
+    fn with_batch(inner: S, mut cores: MultiCore, cap: usize, phase: Phase) -> WarmingSink<S> {
         let cap = cap.max(1);
         cores.begin_warm();
         WarmingSink {
@@ -134,6 +146,7 @@ impl<S: TraceSink> WarmingSink<S> {
             refs: Vec::with_capacity(cap),
             pending: 0,
             cap: cap as u64,
+            phase,
         }
     }
 
@@ -142,7 +155,7 @@ impl<S: TraceSink> WarmingSink<S> {
         if self.pending == 0 {
             return;
         }
-        let _span = ProfileScope::enter(Phase::Warm);
+        let _span = ProfileScope::enter(self.phase);
         self.cores.warm_refs(&self.refs, self.pending);
         self.refs.clear();
         self.pending = 0;
@@ -153,6 +166,14 @@ impl<S: TraceSink> WarmingSink<S> {
     pub fn finish(mut self) -> (S, MultiCore) {
         self.flush();
         (self.inner, self.cores)
+    }
+}
+
+impl WarmingSink<()> {
+    /// The live warm pass of a store-less group: a warming sink with no
+    /// recorder behind it, charging its flushes to [`Phase::Warm`].
+    pub fn unrecorded(cores: MultiCore) -> WarmingSink<()> {
+        WarmingSink::with_batch((), cores, DEFAULT_BATCH_INSTRS, Phase::Warm)
     }
 }
 
@@ -182,7 +203,78 @@ impl<S: TraceSink> TraceSink for WarmingSink<S> {
     }
 }
 
-/// What one functional execution under a recorder leaves behind.
+/// The sink of the live timed pass: it collects the stream into
+/// batches of [`DEFAULT_BATCH_INSTRS`] instructions, exactly as a
+/// replay of a recording would decode it (overhead runs expanded), and
+/// steps the cores (put into their timed phase here) on each batch in
+/// a [`Phase::Timed`] span. Then it hands every instruction of the
+/// batch to `observer`, outside the span. The batch arena is allocated
+/// once, in the constructor; feeding the sink allocates nothing beyond
+/// what `observer` allocates (`tests/hot_loop_alloc.rs`).
+#[derive(Debug)]
+pub struct TimedSink<O: TraceSink> {
+    observer: O,
+    cores: MultiCore,
+    batch: Vec<TraceInstr>,
+    cap: usize,
+}
+
+impl<O: TraceSink> TimedSink<O> {
+    /// Time `cores` on the stream in batches of
+    /// [`DEFAULT_BATCH_INSTRS`] instructions, handing each batch on to
+    /// `observer` (`()` drops it).
+    pub fn new(observer: O, cores: MultiCore) -> TimedSink<O> {
+        TimedSink::with_batch(observer, cores, DEFAULT_BATCH_INSTRS)
+    }
+
+    /// [`TimedSink::new`] with an explicit batch size (at least 1).
+    fn with_batch(observer: O, mut cores: MultiCore, cap: usize) -> TimedSink<O> {
+        let cap = cap.max(1);
+        cores.begin_timed();
+        TimedSink {
+            observer,
+            cores,
+            batch: Vec::with_capacity(cap),
+            cap,
+        }
+    }
+
+    /// Step the cores on the pending batch, observe it, and start the
+    /// next one.
+    fn flush(&mut self) {
+        if self.batch.is_empty() {
+            return;
+        }
+        {
+            let _span = ProfileScope::enter(Phase::Timed);
+            self.cores.step_batch(&self.batch);
+        }
+        for ins in &self.batch {
+            self.observer.on_instr(ins);
+        }
+        self.batch.clear();
+    }
+
+    /// Step the cores on the last, partial batch and hand back the
+    /// observer and the cores, ready to finalize.
+    pub fn finish(mut self) -> (O, MultiCore) {
+        self.flush();
+        (self.observer, self.cores)
+    }
+}
+
+impl<O: TraceSink> TraceSink for TimedSink<O> {
+    // Overhead runs take the trait's default expansion into
+    // `on_instr` calls, which is what a replay's batches hold.
+    fn on_instr(&mut self, ins: &TraceInstr) {
+        self.batch.push(*ins);
+        if self.batch.len() >= self.cap {
+            self.flush();
+        }
+    }
+}
+
+/// What one functional execution into a sink leaves behind.
 struct Executed<S> {
     data: TraceData,
     sink: S,
@@ -192,11 +284,32 @@ struct Executed<S> {
     cores: Option<MultiCore>,
 }
 
-/// Execute a kernel configuration exactly once into `sink` — the
-/// record half shared by every path. With `cores`, the sink is wrapped
-/// in a [`WarmingSink`] and the cores come back warmed. The session's
-/// fallback counter is read inside the session, so the value is bound
-/// to this session's registry.
+/// Run `inst` once into `sink` in a trace session at width `w`. The
+/// session's fallback counter is read inside the session, so the value
+/// is bound to this session's registry.
+fn execute_into<S: TraceSink>(
+    inst: &mut dyn Runnable,
+    imp: Impl,
+    w: Width,
+    sink: S,
+) -> Executed<S> {
+    let (data, sink, fallback_refs) = stream_into_at(w, sink, || {
+        inst.run(imp, session_width());
+        trace::buffer_fallback_refs()
+    });
+    Executed {
+        data,
+        sink,
+        fallback_refs,
+        work_ops: inst.work_ops(),
+        cores: None,
+    }
+}
+
+/// Execute a kernel configuration exactly once into the recorder
+/// `sink` — the record half shared by every recording path. With
+/// `cores`, the sink is wrapped in a [`WarmingSink`] and the cores
+/// come back warmed.
 fn execute_recorded<S: TraceSink>(
     kernel: &dyn Kernel,
     imp: Impl,
@@ -207,28 +320,18 @@ fn execute_recorded<S: TraceSink>(
     cores: Option<MultiCore>,
 ) -> Executed<S> {
     let mut inst = kernel.instantiate(scale, seed);
-    let run = || {
-        inst.run(imp, session_width());
-        trace::buffer_fallback_refs()
+    let Some(cores) = cores else {
+        return execute_into(&mut *inst, imp, w, sink);
     };
-    let (data, sink, fallback_refs, cores) = match cores {
-        None => {
-            let (data, sink, refs) = stream_into_at(w, sink, run);
-            (data, sink, refs, None)
-        }
-        Some(cores) => {
-            let (data, warming, refs) = stream_into_at(w, WarmingSink::new(sink, cores), run);
-            let (sink, cores) = warming.finish();
-            profile::add_counts(Phase::Warm, cores.batch_stats().warm_instrs, 0);
-            (data, sink, refs, Some(cores))
-        }
-    };
+    let run = execute_into(&mut *inst, imp, w, WarmingSink::new(sink, cores));
+    let (sink, cores) = run.sink.finish();
+    profile::add_counts(Phase::RecordWarm, cores.batch_stats().warm_instrs, 0);
     Executed {
-        data,
+        data: run.data,
         sink,
-        fallback_refs,
-        work_ops: inst.work_ops(),
-        cores,
+        fallback_refs: run.fallback_refs,
+        work_ops: run.work_ops,
+        cores: Some(cores),
     }
 }
 
@@ -251,10 +354,11 @@ pub fn record(
     (run.data, run.sink.finish(), run.work_ops)
 }
 
-/// A scenario group's recording, however it was obtained: freshly
+/// A scenario group's stream, however it is obtained: freshly
 /// executed into memory, freshly executed while spilling into a
-/// trace-store entry, or replayed straight from a verified store hit.
-/// All three replay the bit-identical stream.
+/// trace-store entry, replayed straight from a verified store hit, or
+/// not recorded at all (the live path, whose timed pass executes the
+/// kernel again). All four give the bit-identical stream.
 #[derive(Debug)]
 pub struct GroupRecording {
     /// Instruction histograms of the recorded stream (never a
@@ -271,6 +375,24 @@ pub struct GroupRecording {
 enum RecordingSource {
     Memory(EncodedTrace),
     Store(Box<StoredRecording>),
+    Live(LiveRun),
+}
+
+/// The timed pass of a group on the live path: a fresh instance of the
+/// kernel, built from the group's seed, that has not run yet.
+struct LiveRun {
+    inst: Box<dyn Runnable>,
+    imp: Impl,
+    w: Width,
+}
+
+impl std::fmt::Debug for LiveRun {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LiveRun")
+            .field("imp", &self.imp)
+            .field("w", &self.w)
+            .finish_non_exhaustive()
+    }
 }
 
 impl GroupRecording {
@@ -287,20 +409,17 @@ impl GroupRecording {
     /// recordings decode serially into one reusable arena. The
     /// concatenated batches equal the live stream with overhead runs
     /// expanded (what a [`swan_simd::VecSink`] receives).
+    ///
+    /// Every recording [`record_group`] returns replays. The live path
+    /// of the campaign executor holds no recording; its groups never
+    /// leave the crate.
     pub fn replay_batches(&mut self, consume: impl FnMut(&[TraceInstr])) {
         match &mut self.source {
             RecordingSource::Memory(enc) => enc.replay_batches(consume),
             RecordingSource::Store(stored) => stored.replay_batches(consume),
-        }
-    }
-
-    /// [`GroupRecording::replay_batches`] for the recording's last
-    /// replay: an in-memory recording frees each chunk as soon as it is
-    /// decoded, so it shrinks while the timed pass runs.
-    fn replay_last(self, consume: impl FnMut(&[TraceInstr])) {
-        match self.source {
-            RecordingSource::Memory(enc) => enc.into_batches(consume),
-            RecordingSource::Store(mut stored) => stored.replay_batches(consume),
+            RecordingSource::Live(_) => {
+                unreachable!("a live group has no recording; its timed pass executes the kernel")
+            }
         }
     }
 }
@@ -425,8 +544,8 @@ fn obtain_group(
 /// (O(chunk budget) resident); without a store the recording stays in
 /// memory. All three paths yield bit-identical replays, which is the
 /// store's cardinal invariant. [`measure_recorded`] measures the
-/// recording; the campaign executor instead obtains it together with
-/// cores warmed while the kernel records.
+/// recording; the campaign executor instead warms the cores while it
+/// obtains the stream.
 ///
 /// Store I/O failures never fail the measurement: they are logged and
 /// the group falls back to an in-memory recording.
@@ -517,6 +636,44 @@ pub(crate) fn record_warmed(
     (rec, cores)
 }
 
+/// The warm pass of the live path: execute the kernel into a
+/// [`WarmingSink`] with no recorder behind it, warming the core models
+/// of the member configurations `cfgs`. The returned group records
+/// nothing; it holds a fresh instance built from the same seed, which
+/// [`measure_warmed`] (or the golden digest) runs for the timed pass.
+/// Both executions are [`Phase::Execute`] spans.
+pub(crate) fn execute_warmed(
+    kernel: &dyn Kernel,
+    imp: Impl,
+    w: Width,
+    scale: Scale,
+    seed: u64,
+    cfgs: &[CoreConfig],
+) -> (GroupRecording, GroupCores) {
+    let mut cores = GroupCores::new(cfgs);
+    let (rec, models) = {
+        let _span = ProfileScope::enter(Phase::Execute);
+        let mut inst = kernel.instantiate(scale, seed);
+        let run = execute_into(&mut *inst, imp, w, WarmingSink::unrecorded(cores.models));
+        drop(inst);
+        let rec = GroupRecording {
+            data: run.data,
+            work_ops: run.work_ops,
+            fallback_refs: run.fallback_refs,
+            source: RecordingSource::Live(LiveRun {
+                inst: kernel.instantiate(scale, seed),
+                imp,
+                w,
+            }),
+        };
+        (rec, run.sink.finish().1)
+    };
+    cores.models = models;
+    profile::add_counts(Phase::Execute, rec.data.total(), 0);
+    profile::add_counts(Phase::Warm, cores.models.batch_stats().warm_instrs, 0);
+    (rec, cores)
+}
+
 /// Vector-op energy scale factor for an implementation at a width.
 pub(crate) fn width_factor(imp: Impl, w: Width) -> f64 {
     if imp == Impl::Neon {
@@ -547,16 +704,73 @@ fn step_timed(
     cores.finalize()
 }
 
-/// The timed pass over a group's warmed `cores` as the recording's
-/// last replay (see [`GroupRecording::replay_last`]). Returns one
-/// [`SimResult`] per member, in member order.
-pub(crate) fn replay_timed(
+/// The timed pass of the live path: run the fresh instance into a
+/// [`TimedSink`] over `cores`, in one [`Phase::Execute`] span, and
+/// hand every batch to `observer`. Panics if the stream's histograms
+/// differ from the warm pass's `warm`: the kernel is then not
+/// deterministic across instances, and the two passes measured
+/// different streams.
+fn time_live<O: TraceSink>(
+    mut live: LiveRun,
+    warm: &TraceData,
+    cores: &mut MultiCore,
+    observer: O,
+) -> (Vec<SimResult>, O) {
+    let models = std::mem::replace(cores, MultiCore::new(&[]));
+    let (data, observer) = {
+        let _span = ProfileScope::enter(Phase::Execute);
+        let run = execute_into(
+            &mut *live.inst,
+            live.imp,
+            live.w,
+            TimedSink::new(observer, models),
+        );
+        let (observer, models) = run.sink.finish();
+        *cores = models;
+        (run.data, observer)
+    };
+    profile::add_counts(Phase::Execute, data.total(), 0);
+    profile::add_counts(Phase::Timed, cores.batch_stats().timed_instrs, 0);
+    assert!(
+        &data == warm,
+        "the timed execution emitted another stream than the warm one \
+         ({} vs {} instrs): the kernel is not deterministic for its seed",
+        data.total(),
+        warm.total()
+    );
+    (cores.finalize(), observer)
+}
+
+/// The timed pass over a group's warmed `cores`, the last use of its
+/// stream: a live group executes its kernel again, a recording replays
+/// once more (an in-memory one frees each chunk once decoded, so it
+/// shrinks while the pass runs). Every instruction of the timed stream
+/// then goes to `observer`, which comes back with one [`SimResult`]
+/// per member, in member order.
+pub(crate) fn replay_timed<O: TraceSink>(
     rec: GroupRecording,
     cores: &mut GroupCores,
-    observe: impl FnMut(&[TraceInstr]),
-) -> Vec<SimResult> {
-    let sims = step_timed(&mut cores.models, |f| rec.replay_last(f), observe);
-    cores.expand(sims)
+    mut observer: O,
+) -> (Vec<SimResult>, O) {
+    let models = &mut cores.models;
+    let sims = match rec.source {
+        RecordingSource::Live(live) => {
+            let (sims, observed) = time_live(live, &rec.data, models, observer);
+            observer = observed;
+            sims
+        }
+        RecordingSource::Memory(enc) => step_timed(
+            models,
+            |f| enc.into_batches(f),
+            |b| b.iter().for_each(|ins| observer.on_instr(ins)),
+        ),
+        RecordingSource::Store(mut stored) => step_timed(
+            models,
+            |f| stored.replay_batches(f),
+            |b| b.iter().for_each(|ins| observer.on_instr(ins)),
+        ),
+    };
+    (cores.expand(sims), observer)
 }
 
 /// Attach the energy model to one finished simulation per entry of
@@ -574,8 +788,8 @@ fn with_energy(
         .collect()
 }
 
-/// Measure a group recording on its warmed `cores` (as
-/// [`record_warmed`] returns them): one timed replay, the recording's
+/// Measure a group on its warmed `cores` (as [`record_warmed`] or
+/// [`execute_warmed`] returns them): one timed pass, the stream's
 /// last, then the energy model with each member's own configuration.
 /// Returns one [`Measurement`] per member, in member order.
 pub(crate) fn measure_warmed(
@@ -584,7 +798,7 @@ pub(crate) fn measure_warmed(
     width_factor: f64,
 ) -> Vec<Measurement> {
     let (data, work_ops) = (rec.data.histograms(), rec.work_ops);
-    let sims = replay_timed(rec, &mut cores, |_| {});
+    let (sims, ()) = replay_timed(rec, &mut cores, ());
     with_energy(&data, work_ops, &cores.cfgs, sims, width_factor)
 }
 
@@ -596,8 +810,8 @@ pub(crate) fn measure_warmed(
 /// models while (for store-backed recordings) the next chunk decodes
 /// on a second thread. Where the arena boundaries fall never changes
 /// the result (`tests/batch_equivalence.rs`), so this equals warming
-/// live while recording, as the campaign executor does. The
-/// recording is left intact for further replays. Unlike the fused
+/// live, as the campaign executor does on every path but a store hit.
+/// The recording is left intact for further replays. Unlike the fused
 /// path it steps one model per entry of `cfgs` even where two share
 /// their timing ([`CoreConfig::same_timing`]), with identical results;
 /// the benchmark's traced pass times its own per-model copy against
@@ -722,11 +936,13 @@ mod tests {
     }
 
     /// Warm through a sink cutting batches of `cap` instructions, then
-    /// time the stream the inner sink captured.
+    /// time the stream again through a timed sink cutting the same
+    /// batches.
     fn warmed_then_timed(cap: usize) -> (Vec<SimResult>, u64) {
-        let mut sink = WarmingSink::with_batch(VecSink::default(), MultiCore::new(&cfgs()), cap);
+        let cores = MultiCore::new(&cfgs());
+        let mut sink = WarmingSink::with_batch(VecSink::default(), cores, cap, Phase::Warm);
         feed(&mut sink);
-        let (vec, mut cores) = sink.finish();
+        let (vec, cores) = sink.finish();
         let stats = cores.batch_stats();
         let warmed = stats.warm_instrs;
         assert_eq!(warmed, vec.instrs.len() as u64, "every instruction warms");
@@ -735,13 +951,18 @@ mod tests {
             warmed.div_ceil(cap as u64),
             "batches cut where a replay would cut them"
         );
-        cores.begin_timed();
-        cores.step_batch(&vec.instrs);
+        let mut sink = TimedSink::with_batch(VecSink::default(), cores, cap);
+        feed(&mut sink);
+        let (seen, mut cores) = sink.finish();
+        assert!(seen.instrs == vec.instrs, "the observer sees the stream");
+        let stats = cores.batch_stats();
+        assert_eq!(stats.timed_instrs, warmed, "every instruction is timed");
+        assert_eq!(stats.timed_batches, warmed.div_ceil(cap as u64));
         (cores.finalize(), warmed)
     }
 
     #[test]
-    fn warming_sink_batch_size_never_changes_results() {
+    fn warming_and_timed_sink_batch_sizes_never_change_results() {
         let (reference, n) = warmed_then_timed(DEFAULT_BATCH_INSTRS);
         assert_eq!(n, 6000 + OVERHEAD_RUN);
         for cap in [1, 7] {
@@ -833,6 +1054,8 @@ mod tests {
         let shared = measure_warmed(rec, cores, 1.0);
         let mut rec = record_group(&Sweep, imp, w, scale, 1, None);
         assert_eq!(shared, measure_recorded(&mut rec, &cfgs, 1.0));
+        let (live, cores) = execute_warmed(&Sweep, imp, w, scale, 1, &cfgs);
+        assert_eq!(shared, measure_warmed(live, cores, 1.0), "the live path");
         // The re-clocked member keeps Prime's cycles with its own
         // seconds and energy; the rob-64 member has a model of its own.
         assert_eq!(shared[1].sim.cycles, shared[0].sim.cycles);

@@ -237,6 +237,14 @@ pub trait TraceSink: Any {
     }
 }
 
+/// The null sink: drops every instruction. The tracer still runs in
+/// full (histograms, value ids, address virtualization); only the
+/// stream is discarded.
+impl TraceSink for () {
+    fn on_instr(&mut self, _: &TraceInstr) {}
+    fn on_overhead(&mut self, _: Op, _: Class, _: u32, _: u64) {}
+}
+
 /// The materializing sink: appends every instruction to a `Vec`.
 /// `stream_into(VecSink::default(), f)` is the one way to hold a
 /// kernel's complete dynamic trace in memory.

@@ -49,10 +49,12 @@
 //! ahead of the full golden check.
 //!
 //! `--perf` times the simulator against itself: each representative
-//! kernel is recorded once and replayed through every pipeline phase
-//! (decode-only, warm, timed), printing ns/instr per phase and
-//! **instructions simulated per second** as the headline. Defaults to
-//! the quick scale unless `--scale` is given.
+//! kernel's inputs are built, it runs untraced, traced, recorded and
+//! into the live timed sink, and its recording is replayed through
+//! every pipeline phase (decode-only, warm, timed); each row is the
+//! median of three runs, printed as ns/instr, with **instructions
+//! simulated per second** as the headline. Defaults to the quick scale
+//! unless `--scale` is given.
 //!
 //! `--profile` composes with every measuring mode (full suite,
 //! `--only` subsets, goldens, workers, `--perf`): the

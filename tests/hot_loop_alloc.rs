@@ -6,14 +6,17 @@
 //! state must have been allocated when the models were built. The
 //! same holds for the loop that warms the cores while a kernel
 //! records: a `WarmingSink` allocates its arena of memory references
-//! when it is built and nothing while it is fed. And the tracer stages
+//! when it is built and nothing while it is fed, with a recorder behind
+//! it or none (the live warm pass). The live timed pass's `TimedSink`
+//! allocates its batch arena when it is built and nothing while it
+//! steps the cores and hands batches on. And the tracer stages
 //! the sources and literal bytes of the intrinsics it records on the
 //! stack, so tracing them allocates nothing either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use swan_core::WarmingSink;
+use swan_core::{TimedSink, WarmingSink};
 use swan_simd::trace::stream_into_at;
 use swan_simd::trace::{Class, HashSink, MemRef, TraceSink, DEFAULT_BATCH_INSTRS};
 use swan_simd::{Op, TraceInstr, Vreg, Width};
@@ -145,30 +148,37 @@ fn warm_and_timed_batches_never_allocate() {
     }
 }
 
+/// Length of the overhead run `feed` puts across the first batch edge.
+const RUN: u64 = 300;
+
+/// Feed `stream` into `sink` with an overhead run of `RUN`
+/// instructions that starts 100 instructions before the first batch
+/// edge and ends past it.
+fn feed(sink: &mut impl TraceSink, stream: &[TraceInstr]) {
+    let (head, tail) = stream.split_at(DEFAULT_BATCH_INSTRS - 100);
+    for ins in head {
+        sink.on_instr(ins);
+    }
+    sink.on_overhead(Op::SAlu, Class::SInt, 1 << 20, RUN);
+    for ins in tail {
+        sink.on_instr(ins);
+    }
+}
+
+fn three_cores() -> MultiCore {
+    MultiCore::new(&[
+        CoreConfig::prime(),
+        CoreConfig::gold(),
+        CoreConfig::silver(),
+    ])
+}
+
 #[test]
 fn warming_sink_never_allocates_after_construction() {
     // Four instructions per line: six batches' worth of the sweep.
     let stream = sweep(DEFAULT_BATCH_INSTRS as u64 * 3 / 2);
-    const RUN: u64 = 300;
-    let cores = MultiCore::new(&[
-        CoreConfig::prime(),
-        CoreConfig::gold(),
-        CoreConfig::silver(),
-    ]);
-    let mut sink = WarmingSink::new(HashSink::new(), cores);
-
-    let fed = allocations_during(|| {
-        // The overhead run starts 100 instructions before the first
-        // batch edge and ends past it.
-        let (head, tail) = stream.split_at(DEFAULT_BATCH_INSTRS - 100);
-        for ins in head {
-            sink.on_instr(ins);
-        }
-        sink.on_overhead(Op::SAlu, Class::SInt, 1 << 20, RUN);
-        for ins in tail {
-            sink.on_instr(ins);
-        }
-    });
+    let mut sink = WarmingSink::new(HashSink::new(), three_cores());
+    let fed = allocations_during(|| feed(&mut sink, &stream));
     let (hash, cores) = sink.finish();
 
     assert_eq!(fed, 0, "allocations while feeding the warming sink");
@@ -185,6 +195,36 @@ fn warming_sink_never_allocates_after_construction() {
         total.div_ceil(DEFAULT_BATCH_INSTRS as u64),
         "full batches, then one partial"
     );
+}
+
+#[test]
+fn live_warm_and_timed_passes_never_allocate_after_construction() {
+    let stream = sweep(DEFAULT_BATCH_INSTRS as u64 * 3 / 2);
+    let total = stream.len() as u64 + RUN;
+    let batches = total.div_ceil(DEFAULT_BATCH_INSTRS as u64);
+
+    // The warm pass with no recorder behind it.
+    let mut warm = WarmingSink::unrecorded(three_cores());
+    let warm_fed = allocations_during(|| feed(&mut warm, &stream));
+    let ((), cores) = warm.finish();
+    // The timed pass, stepping the warmed cores and hashing each batch.
+    let mut timed = TimedSink::new(HashSink::new(), cores);
+    let timed_fed = allocations_during(|| feed(&mut timed, &stream));
+    let (hash, mut cores) = timed.finish();
+
+    assert_eq!(warm_fed, 0, "allocations while feeding the live warm pass");
+    assert_eq!(timed_fed, 0, "allocations while feeding the timed sink");
+    assert_eq!(hash.count(), total, "the observer sees every instruction");
+    let stats = cores.batch_stats();
+    assert_eq!((stats.warm_instrs, stats.warm_batches), (total, batches));
+    assert_eq!(
+        (stats.timed_instrs, stats.timed_batches),
+        (total, batches),
+        "full batches, then one partial"
+    );
+    for r in cores.finalize() {
+        assert_eq!(r.instrs, total);
+    }
 }
 
 #[test]

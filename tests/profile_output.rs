@@ -2,11 +2,12 @@
 //!
 //! 1. **Bit-identity**: a campaign measured with profiling enabled is
 //!    byte-identical to one with it disabled — timers observe, they
-//!    never steer. Its exact work counters show each fresh group
-//!    decoded once: warm instrs equal recorded instrs, decoded instrs
-//!    equal timed instrs. Literal pins fix how many groups the run
-//!    executes, twins and shares, and how many functional executions
-//!    and recorded instrs that costs.
+//!    never steer. Its exact work counters show each store-less group
+//!    executed twice and never recorded: warm instrs equal timed
+//!    instrs, executed instrs are their sum, and nothing is recorded
+//!    or decoded. Literal pins fix how many groups the run executes,
+//!    twins and shares, and how many functional executions and
+//!    executed instrs that costs.
 //! 2. **`BENCH_profile.json` is sane**: the file `swan-report
 //!    --profile` writes parses back, and on a single-threaded campaign
 //!    the summed exclusive phase time never exceeds the wall clock.
@@ -64,28 +65,32 @@ fn profiling_on_and_off_are_byte_identical() {
     assert_eq!(off, on, "profiling perturbed measured rows");
 
     // And the enabled run actually attributed the pipeline phases.
+    // With no store nothing is recorded or decoded: each group executes
+    // its kernel twice, a warm pass and a timed pass.
     let rep = profile::snapshot(u64::MAX);
-    let record = rep.phase(Phase::Record).expect("record sampled");
-    let timed = rep.phase(Phase::Timed).expect("timed sampled");
-    let decode = rep.phase(Phase::Decode).expect("decode sampled");
-    assert!(record.calls > 0 && record.instrs > 0, "{record:?}");
+    let phase = |p: Phase| *rep.phase(p).expect("every phase sampled");
+    let (execute, warm, timed) = (
+        phase(Phase::Execute),
+        phase(Phase::Warm),
+        phase(Phase::Timed),
+    );
+    assert!(execute.calls > 0 && execute.instrs > 0, "{execute:?}");
+    assert!(warm.calls > 0 && warm.instrs > 0, "{warm:?}");
     assert!(timed.calls > 0 && timed.instrs > 0, "{timed:?}");
-    assert!(decode.calls > 0 && decode.instrs > 0, "{decode:?}");
+    for codec in [Phase::Record, Phase::RecordWarm, Phase::Decode] {
+        let s = phase(codec);
+        assert_eq!((s.calls, s.instrs), (0, 0), "no store, no codec: {s:?}");
+    }
+    // Exact work counters of the live path: the warm pass and the timed
+    // pass each see every instruction of the stream once.
     assert_eq!(
-        record.instrs, timed.instrs,
-        "timed pass replays exactly what was recorded"
-    );
-    // Exact work counters of record-once / replay-once: the cores warm
-    // on the live stream while it records, so the recording is decoded
-    // once, for the timed pass only.
-    let warm = rep.phase(Phase::Warm).expect("warm sampled");
-    assert_eq!(
-        warm.instrs, record.instrs,
-        "the warm pass sees every recorded instruction"
+        warm.instrs, timed.instrs,
+        "the timed pass times exactly what the warm pass warmed on"
     );
     assert_eq!(
-        decode.instrs, timed.instrs,
-        "a fresh group decodes its recording once, for the timed pass"
+        execute.instrs,
+        warm.instrs + timed.instrs,
+        "each instruction is executed once per pass"
     );
 
     // Exact work pins: how many streams the campaign executes and how
@@ -99,14 +104,14 @@ fn profiling_on_and_off_are_byte_identical() {
         "(executed, twinned, shared) groups of lib=ZL"
     );
     assert_eq!(
-        (record.calls, record.instrs),
-        (7, 25_004),
-        "functional executions and recorded instrs of lib=ZL"
+        (execute.calls, execute.instrs),
+        (14, 50_008),
+        "functional executions and executed instrs of lib=ZL"
     );
     assert_eq!(
-        record.calls as usize,
-        run.executed_groups - run.twinned_groups,
-        "each executed group that is not twinned runs its kernel once"
+        execute.calls as usize,
+        2 * (run.executed_groups - run.twinned_groups),
+        "each executed group that is not twinned runs its kernel twice"
     );
     profile::reset();
 }
@@ -196,20 +201,26 @@ fn live_warming_folds_under_record_and_store_hits_warm_by_replay() {
     let dir = std::env::temp_dir().join(format!("swan-profile-nest-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let (rep, folded, stderr) = profiled_run(&dir);
-    // No store: every group warms on its live stream, inside its
-    // recording span.
-    assert!(folded.contains("swan;campaign;record;warm "), "{folded}");
+    // No store: every group warms on the stream of its first execution,
+    // inside that execution's span, and records nothing.
+    assert!(folded.contains("swan;campaign;execute;warm "), "{folded}");
     assert!(
         !folded.lines().any(|l| l.starts_with("swan;campaign;warm ")),
-        "live warming folded as a sibling of record:\n{folded}"
+        "live warming folded as a sibling of execute:\n{folded}"
+    );
+    assert!(
+        !folded.contains("swan;campaign;record"),
+        "no store, no recording:\n{folded}"
     );
     let replay = rep.phase(Phase::ReplayWarm).expect("replay_warm sampled");
     assert_eq!(replay.calls, 0, "no store hit, no replay warm: {replay:?}");
-    // The table indents live warming under record.
+    // The table indents live warming under execute.
     assert!(stderr.lines().any(|l| l.starts_with("  warm ")), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 
-    // A warm store: every group replays to warm, outside any record.
+    // A cold store: every group records, warming its cores live inside
+    // the recording span. A warm store: every group replays to warm,
+    // outside any recording or execution.
     let _guard = profiling_lock();
     let kernels = swan::suite();
     let filter = ScenarioFilter::parse("lib=ZL,impl=neon").expect("valid filter");
@@ -224,18 +235,42 @@ fn live_warming_folds_under_record_and_store_hits_warm_by_replay() {
         store: Some(&store),
         ..Campaign::default()
     };
+    profile::reset();
+    profile::set_enabled(true);
     let cold = campaign.execute(&kernels, &selected, |_| {}).complete();
+    profile::set_enabled(false);
+    let rep = profile::snapshot(u64::MAX);
+    let record = rep.phase(Phase::Record).expect("record sampled");
+    let live = rep.phase(Phase::RecordWarm).expect("record_warm sampled");
+    let execute = rep.phase(Phase::Execute).expect("execute sampled");
+    assert!(record.calls > 0 && live.calls > 0, "all store misses");
+    assert_eq!(live.instrs, record.instrs, "live warming sees every instr");
+    assert_eq!(execute.calls, 0, "a store miss records: {execute:?}");
+    assert!(
+        rep.to_folded().contains("swan;campaign;record;warm "),
+        "{}",
+        rep.to_folded()
+    );
     profile::reset();
     profile::set_enabled(true);
     let warm = campaign.execute(&kernels, &selected, |_| {}).complete();
     profile::set_enabled(false);
     assert_eq!(cold, warm);
     let rep = profile::snapshot(u64::MAX);
-    let record = rep.phase(Phase::Record).expect("record sampled");
-    let live = rep.phase(Phase::Warm).expect("warm sampled");
+    let calls = |p: Phase| rep.phase(p).expect("every phase sampled").calls;
     let replay = rep.phase(Phase::ReplayWarm).expect("replay_warm sampled");
     let timed = rep.phase(Phase::Timed).expect("timed sampled");
-    assert_eq!((record.calls, live.calls), (0, 0), "all store hits");
+    assert_eq!(
+        [
+            Phase::Record,
+            Phase::RecordWarm,
+            Phase::Execute,
+            Phase::Warm
+        ]
+        .map(calls),
+        [0; 4],
+        "all store hits"
+    );
     assert!(replay.calls > 0, "{replay:?}");
     assert_eq!(replay.instrs, timed.instrs, "each hit warms by one replay");
     profile::reset();
@@ -244,6 +279,9 @@ fn live_warming_folds_under_record_and_store_hits_warm_by_replay() {
 
 #[test]
 fn serve_stats_line_reports_per_tier_latency() {
+    // Serialized with the tests that enable profiling: this campaign
+    // would otherwise add its spans to their pinned counts.
+    let _guard = profiling_lock();
     let kernels = swan::suite();
     let config = swan_serve::ServerConfig {
         scale: Scale::test(),

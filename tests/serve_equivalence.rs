@@ -2,9 +2,9 @@
 //! row `swan-serve` streams back is byte-identical to what
 //! `swan-report --only` prints for the same filter — cold cache, warm
 //! cache, and under concurrent duplicate queries — and overlapping
-//! requests deduplicate to exactly one functional execution per
-//! scenario group (counted directly with a counting kernel, which a
-//! subprocess boundary cannot observe).
+//! requests deduplicate to exactly one measurement per scenario group
+//! (counted directly with a counting kernel, which a subprocess
+//! boundary cannot observe).
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
@@ -258,8 +258,9 @@ impl Runnable for CountingRunnable {
 }
 
 /// The dedup guarantee, counted directly: many threads querying the
-/// same plan through one in-process [`Server`] cause exactly one
-/// functional execution per scenario group, and every thread's
+/// same plan through one in-process [`Server`] measure each scenario
+/// group exactly once (with no store, that is two functional
+/// executions: the warm and the timed pass), and every thread's
 /// measurements equal a fresh serial campaign's bitwise.
 #[test]
 fn overlapping_queries_execute_each_group_once() {
@@ -319,9 +320,9 @@ fn overlapping_queries_execute_each_group_once() {
 
     assert_eq!(
         runs.load(Ordering::SeqCst),
-        total_groups,
-        "6 overlapping full-plan queries must cost exactly one functional \
-         execution per group"
+        2 * total_groups,
+        "6 overlapping full-plan queries must measure each group exactly \
+         once: two functional executions (warm and timed pass, no store)"
     );
 }
 

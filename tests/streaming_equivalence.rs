@@ -1,14 +1,17 @@
-//! Record/replay equivalence: a campaign measured from recorded
-//! streams must equal one measured from live execution, bit for bit.
+//! Live, recorded and replayed streams measure alike: a campaign must
+//! equal one measured from freshly executed, materialized streams, bit
+//! for bit.
 //!
-//! Every scenario group's kernel executes once under the recorder and
-//! its recording is replayed into every core model, warm then timed.
-//! These tests pin the facts that make that sound: re-running an
-//! instance reproduces its dynamic trace exactly (same buffers, same
-//! addresses, same control flow); a replayed campaign equals a
-//! reference that simulates freshly executed, materialized streams;
-//! results do not depend on plan order, filtering, thread count or
-//! process sharding; and each group executes its kernel exactly once.
+//! With no trace store, every scenario group's kernel executes twice,
+//! a warm pass and a timed pass on a fresh instance, and nothing is
+//! recorded. With a store, a miss executes once under the recorder and
+//! its entry is replayed, timed; a hit executes nothing. These tests
+//! pin the facts that make that sound: re-running an instance
+//! reproduces its dynamic trace exactly (same buffers, same addresses,
+//! same control flow); a campaign equals a reference that simulates
+//! freshly executed, materialized streams; results do not depend on
+//! plan order, filtering, thread count or process sharding; and each
+//! group executes its kernel exactly once per pass.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -169,11 +172,11 @@ fn permuted_and_filtered_plans_are_scenario_bit_identical() {
     }
 }
 
-/// Differential proof of replay ≡ execute at campaign level: the
-/// record-once/replay-once executor must produce *exact* `SimResult`
-/// equality with a functional-execution reference (a fresh stream
-/// materialized into a `VecSink` and simulated per scenario) — at
-/// thread counts {1, 2, 7} and under a permuted plan.
+/// Differential proof at campaign level: the executor (the live path,
+/// with no store) must produce *exact* `SimResult` equality with a
+/// functional-execution reference (a fresh stream materialized into a
+/// `VecSink` and simulated per scenario) — at thread counts {1, 2, 7}
+/// and under a permuted plan.
 #[test]
 fn replayed_campaign_matches_functionally_executed_campaign() {
     let kernels: Vec<_> = swan::suite().into_iter().take(4).collect();
@@ -201,7 +204,7 @@ fn replayed_campaign_matches_functionally_executed_campaign() {
             assert_eq!(
                 m.sim,
                 reference[&sc.id()],
-                "{} ({threads} threads): replayed recording must equal \
+                "{} ({threads} threads): the campaign must equal \
                  functional execution exactly",
                 sc.id()
             );
@@ -255,12 +258,15 @@ impl Runnable for CountingRunnable {
     }
 }
 
-/// The record-once guarantee, asserted directly: executing a campaign
-/// plan performs exactly one functional kernel execution per distinct
-/// instruction stream — not a warm+timed pair, independent of how many
-/// cores a group fans out to or how many workers shard it, and none for
-/// an Auto group whose kernel declares that Auto runs the stream of a
-/// twin group the plan also measures.
+/// The execution count, asserted directly: executing a campaign plan
+/// performs exactly one functional kernel execution per distinct
+/// instruction stream and per pass that needs a live stream —
+/// independent of how many cores a group fans out to or how many
+/// workers shard it, and none for an Auto group whose kernel declares
+/// that Auto runs the stream of a twin group the plan also measures.
+/// With no store both passes execute: two per stream. (A store miss
+/// executes once and a hit not at all; `tests/warm_on_record.rs`
+/// counts those through the store.)
 #[test]
 fn each_scenario_group_executes_its_kernel_exactly_once() {
     let runs = Arc::new(AtomicUsize::new(0));
@@ -299,9 +305,9 @@ fn each_scenario_group_executes_its_kernel_exactly_once() {
         assert_eq!(run.complete().len(), plan.len());
         assert_eq!(
             runs.load(Ordering::SeqCst),
-            distinct_streams,
-            "exactly one functional execution per distinct stream \
-             ({threads} threads)"
+            2 * distinct_streams,
+            "exactly two functional executions per distinct stream, the \
+             warm and the timed pass ({threads} threads)"
         );
     }
 }

@@ -152,14 +152,17 @@ fn perf_probe_times_every_phase() {
     assert_eq!(rep.kernels, 12);
     assert_eq!(rep.cores, 3);
     assert!(rep.instrs > 0);
-    assert!(rep.execute_ns > 0 && rep.trace_ns > 0 && rep.record_ns > 0);
+    assert!(rep.instantiate_ns > 0 && rep.execute_ns > 0);
+    assert!(rep.trace_ns > 0 && rep.record_ns > 0 && rep.reexecute_ns > 0);
     assert!(rep.decode_ns > 0 && rep.warm_ns > 0 && rep.timed_ns > 0);
     assert!(rep.instrs_per_sec() > 0.0);
     let text = rep.render();
     for row in [
+        "instantiate",
         "execute (untraced)",
         "trace (null sink)",
         "encode (record-trace)",
+        "re-execute (timed sink)",
         "decode-only replay",
         "warm batch",
         "timed batch",

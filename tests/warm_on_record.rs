@@ -1,16 +1,21 @@
 //! Warm-on-record equivalence: warming the cores from the live stream
 //! while the kernel records must be invisible in the results.
 //!
-//! The executor warms each group's core fan-out through a warming sink
-//! while the kernel runs under its recorder, and decodes the recording
-//! only once, for the timed pass; a trace-store hit warms with one
-//! replay instead. These tests hold every execution group of two
+//! On a trace-store miss (and for Figure 6's `measure`) the executor
+//! warms each group's core fan-out through a warming sink while the
+//! kernel runs under its recorder, and decodes the recording only
+//! once, for the timed pass; a trace-store hit warms with one replay
+//! instead. These tests hold every execution group of two
 //! libraries at `Scale::test()` to full `Measurement` equality with
 //! the two-pass reference (`record_group` + `measure_recorded`: record,
 //! then replay warm + timed) with no store, with a cold store (every
 //! executed stream misses and spills while it warms) and with a warm
 //! store (every executed stream hits), and hold the single-point
-//! `measure` to the same reference.
+//! `measure` to the same reference. Without a store the executor
+//! records nothing: its warm pass runs the kernel into a warming sink
+//! with no recorder, and its timed pass runs it again; the last test
+//! holds that live path to record/replay with a cold and a warm store,
+//! rows and golden entries alike.
 
 use swan_core::{
     execution_groups, filter_plan, measure, measure_recorded, plan, record_group, Campaign, Impl,
@@ -163,4 +168,72 @@ fn zl_streams_carry_overhead_runs() {
             stream_into_at(sc.width, Runs::default(), || inst.run(sc.imp, sc.width));
         assert!(runs.0 > 0, "{} emits no overhead runs", sc.stream_id());
     }
+}
+
+/// The live path against record/replay, differentially: over a plan
+/// with Auto twins, timing twins (Gold on Prime's model) and a 9-core
+/// Figure 5(b) group, the campaign's measurements and the golden
+/// collector's entries with no store (both passes execute the kernel)
+/// are bit-identical to those with a cold trace store (each group
+/// executes once, recording, and replays its entry) and a warm one
+/// (each group replays twice). `OR`'s streams depend on the input
+/// data, so a timed pass that ran on other inputs than the warm pass
+/// would show here.
+#[test]
+fn live_path_matches_record_replay_with_cold_and_warm_store() {
+    let kernels = swan::suite();
+    let full = plan(&kernels, Scale::test(), SEED);
+    let filters = ["lib=ZL", "lib=OR"].map(|f| ScenarioFilter::parse(f).unwrap());
+    let plan = filter_plan(&full, &filters);
+    let groups = execution_groups(&plan);
+    assert!(groups.iter().any(|g| g.len() == 9), "a Figure 5(b) group");
+    let base = std::env::temp_dir().join(format!("swan-live-vs-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    // One store for the campaign and one for the golden collector, so
+    // each is cold on its first pass.
+    let open = |name: &str| TraceStore::open(base.join(name), &kernels).unwrap();
+    let (rows_store, golden_store) = (open("rows"), open("golden"));
+    let run_campaign = |store: Option<&TraceStore>| {
+        let run = Campaign {
+            threads: 2,
+            store,
+            ..Campaign::default()
+        }
+        .execute(&kernels, &plan, |_| {});
+        let counts = (run.executed_groups, run.twinned_groups, run.shared_cores);
+        (counts, run.complete())
+    };
+    let collect = |store: Option<&TraceStore>| {
+        swan_core::golden::collect(&kernels, &plan, 2, store, |_| {}).expect("collect")
+    };
+
+    let (counts, live_rows) = run_campaign(None);
+    let live_golden = collect(None);
+    assert!(
+        counts.1 > 0 && counts.2 > 0,
+        "Auto and timing twins: {counts:?}"
+    );
+    assert_eq!(live_golden.len(), plan.len());
+    for pass in ["cold", "warm"] {
+        let (store_counts, rows) = run_campaign(Some(&rows_store));
+        assert_eq!(store_counts, counts, "{pass} store: group counts");
+        assert!(
+            rows == live_rows,
+            "{pass} store: campaign measurements differ"
+        );
+        let golden = collect(Some(&golden_store));
+        for (want, got) in live_golden.iter().zip(&golden) {
+            assert_eq!(want, got, "{pass} store: golden entry");
+        }
+    }
+    let groups = groups.len() as u64;
+    let (rows_stats, golden_stats) = (rows_store.stats(), golden_store.stats());
+    assert_eq!(golden_stats.misses, groups, "the golden store starts cold");
+    assert_eq!(golden_stats.hits, groups, "and is warm on its second pass");
+    assert_eq!(
+        rows_stats.misses + rows_stats.hits,
+        2 * (groups - counts.1 as u64)
+    );
+    assert_eq!(rows_stats.hits, rows_stats.misses, "cold, then warm");
+    let _ = std::fs::remove_dir_all(&base);
 }
