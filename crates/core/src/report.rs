@@ -4,8 +4,9 @@
 //! campaign once (every scenario stream simulated on every core
 //! configuration the analyses need), [`crate::campaign::aggregate`]
 //! folds it into [`SuiteResults`], and the `fig*`/`tab*` functions
-//! format the same rows and series the paper reports. All generators also emit CSV via
-//! their `Display` counterparts' `csv()` methods where applicable.
+//! compute the same rows and series the paper reports as a typed
+//! [`Table`]: every number stays a number, readable with
+//! [`Table::get`], until `Display` renders the table as text.
 
 use crate::campaign::{failure_summary, panic_message, shard_indexed, KernelFailure};
 use crate::kernel::{
@@ -13,11 +14,10 @@ use crate::kernel::{
 };
 use crate::runner::{measure, Measurement};
 use crate::stats::{geomean, mean};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use swan_accel::{DspModel, GpuModel};
-use swan_simd::trace::Op;
+use swan_simd::trace::{Class, Op};
 use swan_simd::Width;
 use swan_uarch::CoreConfig;
 
@@ -61,6 +61,33 @@ pub struct KernelResults {
     pub sweep: Option<[Measurement; 6]>,
 }
 
+/// Picks a (baseline, improved) pair of one kernel's measurements.
+type Pair = fn(&KernelResults) -> (&Measurement, &Measurement);
+
+/// Auto over Scalar on the Prime core.
+const AUTO: Pair = |k| (&k.scalar, &k.auto);
+/// Neon over Scalar on the Prime core.
+const NEON: Pair = |k| (&k.scalar, &k.neon);
+
+impl KernelResults {
+    /// How many times faster the improved side of `pair` runs.
+    fn speedup(&self, pair: Pair) -> f64 {
+        let (base, m) = pair(self);
+        base.seconds() / m.seconds().max(1e-12)
+    }
+
+    /// How many times less energy the improved side of `pair` uses.
+    fn energy_gain(&self, pair: Pair) -> f64 {
+        let (base, m) = pair(self);
+        base.energy_j / m.energy_j.max(1e-18)
+    }
+
+    /// Scalar over Neon dynamic instruction count (Figure 1).
+    fn instr_reduction(&self) -> f64 {
+        self.scalar.trace.total() as f64 / self.neon.trace.total().max(1) as f64
+    }
+}
+
 /// All suite measurements plus the configuration they were taken with.
 #[derive(Clone, Debug)]
 pub struct SuiteResults {
@@ -71,10 +98,24 @@ pub struct SuiteResults {
 }
 
 impl SuiteResults {
-    fn by_library(&self, lib: Library) -> Vec<&KernelResults> {
-        self.kernels
+    /// One row per library with evaluated kernels, in library order:
+    /// the library symbol, then `cells` computed over its kernels.
+    fn library_rows(&self, cells: impl Fn(&[&KernelResults]) -> Vec<Cell>) -> Vec<Vec<Cell>> {
+        Library::ALL
             .iter()
-            .filter(|k| k.meta.library == lib && !k.meta.excluded_from_eval)
+            .filter_map(|&lib| {
+                let ks: Vec<&KernelResults> = self
+                    .kernels
+                    .iter()
+                    .filter(|k| k.meta.library == lib && !k.meta.excluded_from_eval)
+                    .collect();
+                if ks.is_empty() {
+                    return None;
+                }
+                let mut row = vec![Cell::from(lib.to_string())];
+                row.extend(cells(&ks));
+                Some(row)
+            })
             .collect()
     }
 
@@ -85,38 +126,168 @@ impl SuiteResults {
     }
 }
 
-/// Format a right-aligned text table with a dashed rule under the
-/// header — the layout every `tab*`/`fig*` report body uses (also
-/// consumed by the `swan-report --only` per-scenario output).
-pub fn fmt_table(header: &[String], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
+/// Geomean of `f` over `ks`, as a two-decimal cell.
+fn geo(ks: &[&KernelResults], f: impl Fn(&KernelResults) -> f64) -> Cell {
+    Cell::num(geomean(ks.iter().map(|&k| f(k))), 2)
+}
+
+/// Mean of `f` over `ks`, printed with `decimals` places.
+fn avg(ks: &[&KernelResults], decimals: usize, f: impl Fn(&KernelResults) -> f64) -> Cell {
+    Cell::num(mean(ks.iter().map(|&k| f(k))), decimals)
+}
+
+// =====================================================================
+// Typed tables and their one renderer
+// =====================================================================
+
+/// One table cell. A number keeps its value; the cell only says how
+/// to print it.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Cell {
+    /// Free text: row labels, configuration details, `-` for no data.
+    Text(String),
+    /// An exact count.
+    Int(u64),
+    /// A measured number, printed with `decimals` places and then
+    /// `suffix` (`x`, `%`, or nothing).
+    Num {
+        /// The number itself.
+        value: f64,
+        /// Places after the decimal point.
+        decimals: usize,
+        /// Text printed right after the number.
+        suffix: &'static str,
+    },
+}
+
+impl Cell {
+    /// A number printed with `decimals` places and no suffix.
+    pub fn num(value: f64, decimals: usize) -> Cell {
+        Cell::Num {
+            value,
+            decimals,
+            suffix: "",
         }
     }
-    let mut s = String::new();
-    let line = |cells: &[String], widths: &[usize]| -> String {
-        cells
-            .iter()
-            .zip(widths)
-            .map(|(c, w)| format!("{c:>w$}", w = w))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    s.push_str(&line(header, &widths));
-    s.push('\n');
-    s.push_str(&"-".repeat(s.len().saturating_sub(1)));
-    s.push('\n');
-    for row in rows {
-        s.push_str(&line(row, &widths));
-        s.push('\n');
+
+    /// The cell's number; `None` for text.
+    pub fn value(&self) -> Option<f64> {
+        match *self {
+            Cell::Text(_) => None,
+            Cell::Int(n) => Some(n as f64),
+            Cell::Num { value, .. } => Some(value),
+        }
     }
-    s
+}
+
+impl From<&str> for Cell {
+    fn from(s: &str) -> Cell {
+        Cell::Text(s.to_string())
+    }
+}
+
+impl From<String> for Cell {
+    fn from(s: String) -> Cell {
+        Cell::Text(s)
+    }
+}
+
+impl From<usize> for Cell {
+    fn from(n: usize) -> Cell {
+        Cell::Int(n as u64)
+    }
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Cell::Text(s) => f.write_str(s),
+            Cell::Int(n) => write!(f, "{n}"),
+            Cell::Num {
+                value,
+                decimals,
+                suffix,
+            } => write!(f, "{value:.decimals$}{suffix}"),
+        }
+    }
+}
+
+/// A titled table of typed cells — what every `tab*`/`fig*` generator
+/// returns.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Table {
+    /// Title, printed as `=== title ===`.
+    pub title: String,
+    /// Column headers.
+    pub columns: Vec<String>,
+    /// Rows of cells, one per column; the first cell names the row.
+    pub rows: Vec<Vec<Cell>>,
+}
+
+impl Table {
+    fn new(
+        title: &str,
+        columns: impl IntoIterator<Item = impl Into<String>>,
+        rows: Vec<Vec<Cell>>,
+    ) -> Table {
+        Table {
+            title: title.to_string(),
+            columns: columns.into_iter().map(Into::into).collect(),
+            rows,
+        }
+    }
+
+    /// The cell in `column` of the first row whose first cell is the
+    /// text `row`.
+    pub fn get(&self, row: &str, column: &str) -> Option<&Cell> {
+        let c = self.columns.iter().position(|h| h == column)?;
+        self.rows
+            .iter()
+            .find(|r| matches!(r.first(), Some(Cell::Text(t)) if t == row))?
+            .get(c)
+    }
+}
+
+/// The `=== title ===` line, then right-aligned cells separated by two
+/// spaces, with a dashed rule as long as the header line under it.
+/// Column widths count bytes while `{:>w$}` pads by chars, so a column
+/// holding a multi-byte label (the `§` of the patterns table) is wider
+/// than its longest cell by the extra bytes; the pinned report bytes
+/// depend on it.
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rows: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .map(|r| r.iter().map(Cell::to_string).collect())
+            .collect();
+        let mut widths: Vec<usize> = self.columns.iter().map(String::len).collect();
+        for row in &rows {
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(cell.len());
+            }
+        }
+        let line = |cells: &[String]| {
+            cells
+                .iter()
+                .zip(&widths)
+                .map(|(c, w)| format!("{c:>w$}"))
+                .collect::<Vec<_>>()
+                .join("  ")
+        };
+        let head = line(&self.columns);
+        writeln!(f, "=== {} ===", self.title)?;
+        writeln!(f, "{head}")?;
+        writeln!(f, "{}", "-".repeat(head.len()))?;
+        for row in &rows {
+            writeln!(f, "{}", line(row))?;
+        }
+        Ok(())
+    }
 }
 
 /// Column layout of the per-scenario row renderers: (header, width,
-/// left-aligned). Fixed widths — unlike [`fmt_table`], a row's bytes
+/// left-aligned). Fixed widths — unlike a [`Table`], a row's bytes
 /// depend on nothing but its own scenario and measurement, so rows can
 /// be rendered (and streamed) one at a time and still line up.
 const SCENARIO_COLUMNS: [(&str, usize, bool); 7] = [
@@ -177,54 +348,14 @@ pub fn scenario_row(sc: &crate::scenario::Scenario, m: &Measurement) -> String {
     ])
 }
 
-/// A generic text report with an optional CSV form.
-#[derive(Clone, Debug)]
-pub struct Report {
-    /// Report title (e.g. `"Figure 2"`).
-    pub title: String,
-    /// Pre-formatted table body.
-    pub body: String,
-    /// CSV form of the data.
-    pub csv: String,
-}
-
-impl fmt::Display for Report {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "=== {} ===", self.title)?;
-        write!(f, "{}", self.body)
-    }
-}
-
-fn make_report(title: &str, header: Vec<String>, rows: Vec<Vec<String>>) -> Report {
-    let csv = std::iter::once(header.join(","))
-        .chain(rows.iter().map(|r| r.join(",")))
-        .collect::<Vec<_>>()
-        .join("\n");
-    Report {
-        title: title.to_string(),
-        body: fmt_table(&header, &rows),
-        csv,
-    }
-}
-
 // =====================================================================
 // Table 2 / Table 3 (static)
 // =====================================================================
 
 /// Table 2: the library inventory.
-pub fn tab2(kernels: &[Box<dyn Kernel>]) -> Report {
-    let header = vec![
-        "Library".into(),
-        "Domain".into(),
-        "Sym".into(),
-        "Chromium".into(),
-        "Android".into(),
-        "WebRTC".into(),
-        "PDFium".into(),
-        "Max(%)".into(),
-        "Avg(%)".into(),
-        "Kernels".into(),
-    ];
+pub fn tab2(kernels: &[Box<dyn Kernel>]) -> Table {
+    let yes = |v: bool| Cell::from(if v { "yes" } else { "-" });
+    let pct = |v: Option<f64>| v.map_or(Cell::from("-"), |p| Cell::num(p, 1));
     let rows = Library::ALL
         .iter()
         .map(|lib| {
@@ -233,78 +364,85 @@ pub fn tab2(kernels: &[Box<dyn Kernel>]) -> Report {
                 .iter()
                 .filter(|k| k.meta().library == *lib && !k.meta().excluded_from_eval)
                 .count();
-            let b = |v: bool| if v { "yes" } else { "-" }.to_string();
-            let pct = |v: Option<f64>| v.map_or("-".into(), |p| format!("{p:.1}"));
             vec![
                 i.name.into(),
                 i.domain.into(),
                 i.symbol.into(),
-                b(i.used_by.0),
-                b(i.used_by.1),
-                b(i.used_by.2),
-                b(i.used_by.3),
+                yes(i.used_by.0),
+                yes(i.used_by.1),
+                yes(i.used_by.2),
+                yes(i.used_by.3),
                 pct(i.chromium_max_pct),
                 pct(i.chromium_avg_pct),
-                n.to_string(),
+                n.into(),
             ]
         })
         .collect();
-    make_report("Table 2: accelerated libraries", header, rows)
+    Table::new(
+        "Table 2: accelerated libraries",
+        [
+            "Library", "Domain", "Sym", "Chromium", "Android", "WebRTC", "PDFium", "Max(%)",
+            "Avg(%)", "Kernels",
+        ],
+        rows,
+    )
 }
 
 /// Table 3: the simulated Prime-core baseline configuration.
-pub fn tab3() -> Report {
+pub fn tab3() -> Table {
     let p = CoreConfig::prime();
-    let header = vec!["Configuration".to_string(), "Detail".to_string()];
-    let rows = vec![
-        vec![
-            "Scalar core".into(),
+    let order = if p.in_order {
+        "in-order"
+    } else {
+        "out-of-order"
+    };
+    let rows = [
+        (
+            "Scalar core",
             format!(
-                "{:.1}GHz, {} entry ROB, {}, {}-way decode, {}-way commit",
-                p.freq_ghz,
-                p.rob,
-                if p.in_order {
-                    "in-order"
-                } else {
-                    "out-of-order"
-                },
-                p.decode_width,
-                p.commit_width
+                "{:.1}GHz, {} entry ROB, {order}, {}-way decode, {}-way commit",
+                p.freq_ghz, p.rob, p.decode_width, p.commit_width
             ),
-        ],
-        vec![
-            "Vector engine".into(),
+        ),
+        (
+            "Vector engine",
             format!("{} 128-bit ASIMD units + crypto ext", p.asimd_units),
-        ],
-        vec![
-            "L1-D cache".into(),
+        ),
+        (
+            "L1-D cache",
             format!(
                 "{} KiB, {}-way, {} cycle latency",
                 p.mem.l1d.size >> 10,
                 p.mem.l1d.ways,
                 p.mem.l1d.latency
             ),
-        ],
-        vec![
-            "L2 cache".into(),
+        ),
+        (
+            "L2 cache",
             format!(
                 "{} KiB, {}-way, private, inclusive, {} cycle latency",
                 p.mem.l2.size >> 10,
                 p.mem.l2.ways,
                 p.mem.l2.latency
             ),
-        ],
-        vec![
-            "LLC".into(),
+        ),
+        (
+            "LLC",
             format!(
                 "{} MiB, {}-way, shared, inclusive, {} cycle latency",
                 p.mem.llc.size >> 20,
                 p.mem.llc.ways,
                 p.mem.llc.latency
             ),
-        ],
+        ),
     ];
-    make_report("Table 3: Cortex-A76 Prime core baseline", header, rows)
+    Table::new(
+        "Table 3: Cortex-A76 Prime core baseline",
+        ["Configuration", "Detail"],
+        rows.into_iter()
+            .map(|(name, detail)| vec![name.into(), detail.into()])
+            .collect(),
+    )
 }
 
 // =====================================================================
@@ -313,58 +451,30 @@ pub fn tab3() -> Report {
 
 /// Figure 1 data: per library, the Neon instruction-class distribution
 /// (percent) and the Scalar/Neon dynamic-instruction reduction.
-pub fn fig1(suite: &SuiteResults) -> Report {
-    use swan_simd::trace::Class;
-    let header: Vec<String> = [
-        "Lib",
-        "S-Int%",
-        "S-Flt%",
-        "V-Ld%",
-        "V-St%",
-        "V-Int%",
-        "V-Flt%",
-        "V-Crypto%",
-        "V-Misc%",
-        "InstrRed(x)",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    let mut rows = Vec::new();
-    for lib in Library::ALL {
-        let ks = suite.by_library(lib);
-        if ks.is_empty() {
-            continue;
-        }
-        let mut classes = [0u64; 8];
-        for k in &ks {
-            for c in Class::ALL {
-                classes[c as usize] += k.neon.trace.class_count(c);
-            }
-        }
-        let total: u64 = classes.iter().sum();
-        let pct = |c: Class| 100.0 * classes[c as usize] as f64 / total.max(1) as f64;
-        let red = geomean(
-            ks.iter()
-                .map(|k| k.scalar.trace.total() as f64 / k.neon.trace.total().max(1) as f64),
-        );
-        rows.push(vec![
-            lib.to_string(),
-            format!("{:.1}", pct(Class::SInt)),
-            format!("{:.1}", pct(Class::SFloat)),
-            format!("{:.1}", pct(Class::VLoad)),
-            format!("{:.1}", pct(Class::VStore)),
-            format!("{:.1}", pct(Class::VInt)),
-            format!("{:.1}", pct(Class::VFloat)),
-            format!("{:.1}", pct(Class::VCrypto)),
-            format!("{:.1}", pct(Class::VMisc)),
-            format!("{:.2}", red),
-        ]);
-    }
-    make_report(
+pub fn fig1(suite: &SuiteResults) -> Table {
+    Table::new(
         "Figure 1: Neon instruction distribution and instruction reduction",
-        header,
-        rows,
+        [
+            "Lib",
+            "S-Int%",
+            "S-Flt%",
+            "V-Ld%",
+            "V-St%",
+            "V-Int%",
+            "V-Flt%",
+            "V-Crypto%",
+            "V-Misc%",
+            "InstrRed(x)",
+        ],
+        suite.library_rows(|ks| {
+            let classes = Class::ALL.map(|c| ks.iter().map(|k| k.neon.trace.class_count(c)).sum());
+            let total: u64 = classes.iter().sum();
+            classes
+                .iter()
+                .map(|&n: &u64| Cell::num(100.0 * n as f64 / total.max(1) as f64, 1))
+                .chain([geo(ks, KernelResults::instr_reduction)])
+                .collect()
+        }),
     )
 }
 
@@ -374,47 +484,24 @@ pub fn fig1(suite: &SuiteResults) -> Report {
 
 /// Figure 2 data: per library geomean performance and energy
 /// improvement of Auto and Neon over Scalar (Prime core).
-pub fn fig2(suite: &SuiteResults) -> Report {
-    let header: Vec<String> = [
-        "Lib",
-        "Auto perf(x)",
-        "Neon perf(x)",
-        "Auto energy(x)",
-        "Neon energy(x)",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    let mut rows = Vec::new();
-    for lib in Library::ALL {
-        let ks = suite.by_library(lib);
-        if ks.is_empty() {
-            continue;
-        }
-        let perf = |sel: fn(&KernelResults) -> &Measurement| {
-            geomean(
-                ks.iter()
-                    .map(|k| k.scalar.seconds() / sel(k).seconds().max(1e-12)),
-            )
-        };
-        let energy = |sel: fn(&KernelResults) -> &Measurement| {
-            geomean(
-                ks.iter()
-                    .map(|k| k.scalar.energy_j / sel(k).energy_j.max(1e-18)),
-            )
-        };
-        rows.push(vec![
-            lib.to_string(),
-            format!("{:.2}", perf(|k| &k.auto)),
-            format!("{:.2}", perf(|k| &k.neon)),
-            format!("{:.2}", energy(|k| &k.auto)),
-            format!("{:.2}", energy(|k| &k.neon)),
-        ]);
-    }
-    make_report(
+pub fn fig2(suite: &SuiteResults) -> Table {
+    Table::new(
         "Figure 2: Auto and Neon performance / energy improvement over Scalar",
-        header,
-        rows,
+        [
+            "Lib",
+            "Auto perf(x)",
+            "Neon perf(x)",
+            "Auto energy(x)",
+            "Neon energy(x)",
+        ],
+        suite.library_rows(|ks| {
+            vec![
+                geo(ks, |k| k.speedup(AUTO)),
+                geo(ks, |k| k.speedup(NEON)),
+                geo(ks, |k| k.energy_gain(AUTO)),
+                geo(ks, |k| k.energy_gain(NEON)),
+            ]
+        }),
     )
 }
 
@@ -423,94 +510,63 @@ pub fn fig2(suite: &SuiteResults) -> Report {
 // =====================================================================
 
 /// Figure 3 data: average chip power per library and implementation.
-pub fn fig3(suite: &SuiteResults) -> Report {
-    let header: Vec<String> = ["Lib", "Scalar(W)", "Auto(W)", "Neon(W)"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let mut rows = Vec::new();
-    for lib in Library::ALL {
-        let ks = suite.by_library(lib);
-        if ks.is_empty() {
-            continue;
-        }
-        rows.push(vec![
-            lib.to_string(),
-            format!("{:.2}", mean(ks.iter().map(|k| k.scalar.power_w))),
-            format!("{:.2}", mean(ks.iter().map(|k| k.auto.power_w))),
-            format!("{:.2}", mean(ks.iter().map(|k| k.neon.power_w))),
-        ]);
-    }
-    make_report("Figure 3: total chip power (including DRAM)", header, rows)
+pub fn fig3(suite: &SuiteResults) -> Table {
+    Table::new(
+        "Figure 3: total chip power (including DRAM)",
+        ["Lib", "Scalar(W)", "Auto(W)", "Neon(W)"],
+        suite.library_rows(|ks| {
+            vec![
+                avg(ks, 2, |k| k.scalar.power_w),
+                avg(ks, 2, |k| k.auto.power_w),
+                avg(ks, 2, |k| k.neon.power_w),
+            ]
+        }),
+    )
 }
 
 // =====================================================================
 // Table 4: auto-vectorization outcomes
 // =====================================================================
 
-/// Table 4: auto-vectorization outcome counts, from kernel metadata
-/// cross-checked against the measured runtimes.
-pub fn tab4(suite: &SuiteResults) -> Report {
-    let mut same = 0;
-    let mut slower = 0;
-    let mut faster = 0;
-    let (mut sim, mut worse, mut better) = (0, 0, 0);
-    for k in &suite.kernels {
-        if k.meta.excluded_from_eval {
-            continue;
-        }
-        match k.meta.auto {
-            AutoOutcome::SameAsScalar => same += 1,
-            AutoOutcome::SlowerThanScalar => slower += 1,
-            AutoOutcome::Vectorized(v) => {
-                faster += 1;
-                match v {
-                    VsNeon::Similar => sim += 1,
-                    VsNeon::Worse => worse += 1,
-                    VsNeon::Better => better += 1,
-                }
-            }
-        }
-    }
-    let count_obs = |o: AutoObstacle| {
-        suite
-            .kernels
-            .iter()
-            .filter(|k| k.meta.obstacles.contains(&o))
-            .count()
-    };
-    let header = vec!["Comparison".to_string(), "#Kernels".to_string()];
-    let rows = vec![
-        vec!["Auto ~ Scalar".into(), same.to_string()],
-        vec!["Auto < Scalar".into(), slower.to_string()],
-        vec!["Auto > Scalar".into(), faster.to_string()],
-        vec!["  of which Auto ~ Neon".into(), sim.to_string()],
-        vec!["  of which Auto < Neon".into(), worse.to_string()],
-        vec!["  of which Auto > Neon".into(), better.to_string()],
-        vec![
-            "Obstacle: uncountable loop".into(),
-            count_obs(AutoObstacle::UncountableLoop).to_string(),
-        ],
-        vec![
-            "Obstacle: indirect access".into(),
-            count_obs(AutoObstacle::IndirectMemoryAccess).to_string(),
-        ],
-        vec![
-            "Obstacle: loop dependency (PHI)".into(),
-            count_obs(AutoObstacle::LoopDependency).to_string(),
-        ],
-        vec![
-            "Obstacle: other legality".into(),
-            count_obs(AutoObstacle::OtherLegality).to_string(),
-        ],
-        vec![
-            "Obstacle: cost model".into(),
-            count_obs(AutoObstacle::CostModel).to_string(),
-        ],
+/// Table 4: auto-vectorization outcome and obstacle counts. It reads
+/// each kernel's declared [`AutoOutcome`] and obstacles only; no
+/// measurement enters it.
+pub fn tab4(suite: &SuiteResults) -> Table {
+    use AutoOutcome::{SameAsScalar, SlowerThanScalar, Vectorized};
+    use VsNeon::{Better, Similar, Worse};
+    type Counts = fn(AutoOutcome) -> bool;
+    let outcomes: [(&str, Counts); 6] = [
+        ("Auto ~ Scalar", |a| a == SameAsScalar),
+        ("Auto < Scalar", |a| a == SlowerThanScalar),
+        ("Auto > Scalar", |a| matches!(a, Vectorized(_))),
+        ("  of which Auto ~ Neon", |a| a == Vectorized(Similar)),
+        ("  of which Auto < Neon", |a| a == Vectorized(Worse)),
+        ("  of which Auto > Neon", |a| a == Vectorized(Better)),
     ];
-    make_report(
+    let obstacles = [
+        ("uncountable loop", AutoObstacle::UncountableLoop),
+        ("indirect access", AutoObstacle::IndirectMemoryAccess),
+        ("loop dependency (PHI)", AutoObstacle::LoopDependency),
+        ("other legality", AutoObstacle::OtherLegality),
+        ("cost model", AutoObstacle::CostModel),
+    ];
+    let metas = || suite.kernels.iter().map(|k| &k.meta);
+    let rows = outcomes
+        .iter()
+        .map(|&(label, is)| {
+            let n = metas()
+                .filter(|m| !m.excluded_from_eval && is(m.auto))
+                .count();
+            vec![label.into(), n.into()]
+        })
+        .chain(obstacles.iter().map(|(label, o)| {
+            let n = metas().filter(|m| m.obstacles.contains(o)).count();
+            vec![format!("Obstacle: {label}").into(), n.into()]
+        }))
+        .collect();
+    Table::new(
         "Table 4: Auto performance w.r.t. Scalar and Neon",
-        header,
+        ["Comparison", "#Kernels"],
         rows,
     )
 }
@@ -520,41 +576,34 @@ pub fn tab4(suite: &SuiteResults) -> Report {
 // =====================================================================
 
 /// Table 5: cache MPKI, stall shares and IPC, Scalar (S) vs Neon (V).
-pub fn tab5(suite: &SuiteResults) -> Report {
-    let header: Vec<String> = [
-        "Lib", "L1D S", "L1D V", "L2 S", "L2 V", "LLC S", "LLC V", "FE% S", "FE% V", "BE% S",
-        "BE% V", "IPC S", "IPC V",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    let mut rows = Vec::new();
-    for lib in Library::ALL {
-        let ks = suite.by_library(lib);
-        if ks.is_empty() {
-            continue;
-        }
-        let m = |f: &dyn Fn(&KernelResults) -> f64| mean(ks.iter().map(|k| f(k)));
-        rows.push(vec![
-            lib.to_string(),
-            format!("{:.1}", m(&|k| k.scalar.sim.l1d.mpki(k.scalar.sim.instrs))),
-            format!("{:.1}", m(&|k| k.neon.sim.l1d.mpki(k.neon.sim.instrs))),
-            format!("{:.1}", m(&|k| k.scalar.sim.l2.mpki(k.scalar.sim.instrs))),
-            format!("{:.1}", m(&|k| k.neon.sim.l2.mpki(k.neon.sim.instrs))),
-            format!("{:.1}", m(&|k| k.scalar.sim.llc.mpki(k.scalar.sim.instrs))),
-            format!("{:.1}", m(&|k| k.neon.sim.llc.mpki(k.neon.sim.instrs))),
-            format!("{:.1}", m(&|k| k.scalar.sim.fe_stall_pct())),
-            format!("{:.1}", m(&|k| k.neon.sim.fe_stall_pct())),
-            format!("{:.1}", m(&|k| k.scalar.sim.be_stall_pct())),
-            format!("{:.1}", m(&|k| k.neon.sim.be_stall_pct())),
-            format!("{:.2}", m(&|k| k.scalar.sim.ipc())),
-            format!("{:.2}", m(&|k| k.neon.sim.ipc())),
-        ]);
-    }
-    make_report(
+pub fn tab5(suite: &SuiteResults) -> Table {
+    type Stat = fn(&Measurement) -> f64;
+    // (decimals, statistic), each shown for Scalar and then Neon.
+    let stats: [(usize, Stat); 6] = [
+        (1, |m| m.sim.l1d.mpki(m.sim.instrs)),
+        (1, |m| m.sim.l2.mpki(m.sim.instrs)),
+        (1, |m| m.sim.llc.mpki(m.sim.instrs)),
+        (1, |m| m.sim.fe_stall_pct()),
+        (1, |m| m.sim.be_stall_pct()),
+        (2, |m| m.sim.ipc()),
+    ];
+    Table::new(
         "Table 5: microarchitectural characteristics (S=Scalar, V=Neon)",
-        header,
-        rows,
+        [
+            "Lib", "L1D S", "L1D V", "L2 S", "L2 V", "LLC S", "LLC V", "FE% S", "FE% V", "BE% S",
+            "BE% V", "IPC S", "IPC V",
+        ],
+        suite.library_rows(|ks| {
+            stats
+                .iter()
+                .flat_map(|&(decimals, stat)| {
+                    [
+                        avg(ks, decimals, |k| stat(&k.scalar)),
+                        avg(ks, decimals, |k| stat(&k.neon)),
+                    ]
+                })
+                .collect()
+        }),
     )
 }
 
@@ -564,51 +613,28 @@ pub fn tab5(suite: &SuiteResults) -> Report {
 
 /// Figure 4 data: Neon performance and energy improvement over Scalar
 /// on the Silver, Gold and Prime cores.
-pub fn fig4(suite: &SuiteResults) -> Report {
-    let header: Vec<String> = [
-        "Lib",
-        "Silver perf",
-        "Gold perf",
-        "Prime perf",
-        "Silver energy",
-        "Gold energy",
-        "Prime energy",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    let mut rows = Vec::new();
-    for lib in Library::ALL {
-        let ks = suite.by_library(lib);
-        if ks.is_empty() {
-            continue;
-        }
-        let perf = |s: fn(&KernelResults) -> (&Measurement, &Measurement)| {
-            geomean(ks.iter().map(|k| {
-                let (sc, ne) = s(k);
-                sc.seconds() / ne.seconds().max(1e-12)
-            }))
-        };
-        let energy = |s: fn(&KernelResults) -> (&Measurement, &Measurement)| {
-            geomean(ks.iter().map(|k| {
-                let (sc, ne) = s(k);
-                sc.energy_j / ne.energy_j.max(1e-18)
-            }))
-        };
-        rows.push(vec![
-            lib.to_string(),
-            format!("{:.2}", perf(|k| (&k.scalar_silver, &k.neon_silver))),
-            format!("{:.2}", perf(|k| (&k.scalar_gold, &k.neon_gold))),
-            format!("{:.2}", perf(|k| (&k.scalar, &k.neon))),
-            format!("{:.2}", energy(|k| (&k.scalar_silver, &k.neon_silver))),
-            format!("{:.2}", energy(|k| (&k.scalar_gold, &k.neon_gold))),
-            format!("{:.2}", energy(|k| (&k.scalar, &k.neon))),
-        ]);
-    }
-    make_report(
+pub fn fig4(suite: &SuiteResults) -> Table {
+    let cores: [Pair; 3] = [
+        |k| (&k.scalar_silver, &k.neon_silver),
+        |k| (&k.scalar_gold, &k.neon_gold),
+        NEON,
+    ];
+    Table::new(
         "Figure 4: Neon improvement by core (Silver/Gold/Prime)",
-        header,
-        rows,
+        [
+            "Lib",
+            "Silver perf",
+            "Gold perf",
+            "Prime perf",
+            "Silver energy",
+            "Gold energy",
+            "Prime energy",
+        ],
+        suite.library_rows(|ks| {
+            let perf = cores.map(|p| geo(ks, |k| k.speedup(p)));
+            let energy = cores.map(|p| geo(ks, |k| k.energy_gain(p)));
+            perf.into_iter().chain(energy).collect()
+        }),
     )
 }
 
@@ -616,61 +642,47 @@ pub fn fig4(suite: &SuiteResults) -> Report {
 // Figure 5: scalability
 // =====================================================================
 
+/// One row per Figure 5 representative that has the `series`: its
+/// cycle speedup at each point over the first.
+fn fig5_rows(
+    suite: &SuiteResults,
+    series: fn(&KernelResults) -> Option<&[Measurement]>,
+) -> Vec<Vec<Cell>> {
+    FIG5_KERNELS
+        .iter()
+        .filter_map(|&(lib, name)| {
+            let ms = series(suite.find(lib, name)?)?;
+            let base = ms[0].sim.cycles.max(1) as f64;
+            let speedups = ms
+                .iter()
+                .map(|m| Cell::num(base / m.sim.cycles.max(1) as f64, 2));
+            Some(
+                std::iter::once(format!("{lib} {name}").into())
+                    .chain(speedups)
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
 /// Figure 5(a): speedup of 256/512/1024-bit registers over 128-bit for
 /// the eight representative kernels.
-pub fn fig5a(suite: &SuiteResults) -> Report {
-    let header: Vec<String> = ["Kernel", "128-bit", "256-bit", "512-bit", "1024-bit"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let mut rows = Vec::new();
-    for (lib, name) in FIG5_KERNELS {
-        if let Some(k) = suite.find(lib, name) {
-            if let Some(ws) = &k.widths {
-                let base = ws[0].sim.cycles.max(1) as f64;
-                rows.push(vec![
-                    format!("{lib} {name}"),
-                    "1.00".to_string(),
-                    format!("{:.2}", base / ws[1].sim.cycles.max(1) as f64),
-                    format!("{:.2}", base / ws[2].sim.cycles.max(1) as f64),
-                    format!("{:.2}", base / ws[3].sim.cycles.max(1) as f64),
-                ]);
-            }
-        }
-    }
-    make_report(
+pub fn fig5a(suite: &SuiteResults) -> Table {
+    Table::new(
         "Figure 5(a): Neon scalability with wider vector registers",
-        header,
-        rows,
+        ["Kernel", "128-bit", "256-bit", "512-bit", "1024-bit"],
+        fig5_rows(suite, |k| k.widths.as_ref().map(|w| &w[..])),
     )
 }
 
 /// Figure 5(b): speedup of the decode-way / ASIMD-unit sweep over the
 /// `4W-2V` baseline for the eight representative kernels.
-pub fn fig5b(suite: &SuiteResults) -> Report {
-    let cfg_names: Vec<String> = CoreConfig::fig5b_sweep()
-        .iter()
-        .map(|c| c.name.clone())
-        .collect();
-    let mut header = vec!["Kernel".to_string()];
-    header.extend(cfg_names);
-    let mut rows = Vec::new();
-    for (lib, name) in FIG5_KERNELS {
-        if let Some(k) = suite.find(lib, name) {
-            if let Some(sw) = &k.sweep {
-                let base = sw[0].sim.cycles.max(1) as f64;
-                let mut row = vec![format!("{lib} {name}")];
-                for m in sw.iter() {
-                    row.push(format!("{:.2}", base / m.sim.cycles.max(1) as f64));
-                }
-                rows.push(row);
-            }
-        }
-    }
-    make_report(
+pub fn fig5b(suite: &SuiteResults) -> Table {
+    let configs = CoreConfig::fig5b_sweep().into_iter().map(|c| c.name);
+    Table::new(
         "Figure 5(b): Neon scalability with more ASIMD units / decode ways",
-        header,
-        rows,
+        std::iter::once("Kernel".to_string()).chain(configs),
+        fig5_rows(suite, |k| k.sweep.as_ref().map(|s| &s[..])),
     )
 }
 
@@ -681,7 +693,7 @@ pub fn fig5b(suite: &SuiteResults) -> Report {
 /// Table 6: number of kernels using each strided-access instruction and
 /// the average share of those instructions within the kernels that use
 /// them (measured from the dynamic traces).
-pub fn tab6(suite: &SuiteResults) -> Report {
+pub fn tab6(suite: &SuiteResults) -> Table {
     let groups: [(&str, &[Op]); 6] = [
         ("LD stride-2", &[Op::VLd2]),
         ("ST stride-2", &[Op::VSt2]),
@@ -690,31 +702,30 @@ pub fn tab6(suite: &SuiteResults) -> Report {
         ("LD stride-4", &[Op::VLd3, Op::VLd4]),
         ("ST stride-4", &[Op::VSt3, Op::VSt4]),
     ];
-    let header: Vec<String> = ["Instruction", "#Kernels", "Avg. portion(%)"]
+    let rows = groups
         .iter()
-        .map(|s| s.to_string())
+        .map(|&(label, ops)| {
+            let portions: Vec<f64> = suite
+                .kernels
+                .iter()
+                .filter(|k| !k.meta.excluded_from_eval)
+                .filter_map(|k| {
+                    let cnt: u64 = ops.iter().map(|&o| k.neon.trace.op_count(o)).sum();
+                    (cnt > 0).then(|| 100.0 * cnt as f64 / k.neon.trace.total().max(1) as f64)
+                })
+                .collect();
+            vec![
+                label.into(),
+                portions.len().into(),
+                Cell::num(mean(portions), 1),
+            ]
+        })
         .collect();
-    let mut rows = Vec::new();
-    for (label, ops) in groups {
-        let mut users = 0;
-        let mut portions = Vec::new();
-        for k in &suite.kernels {
-            if k.meta.excluded_from_eval {
-                continue;
-            }
-            let cnt: u64 = ops.iter().map(|&o| k.neon.trace.op_count(o)).sum();
-            if cnt > 0 {
-                users += 1;
-                portions.push(100.0 * cnt as f64 / k.neon.trace.total().max(1) as f64);
-            }
-        }
-        rows.push(vec![
-            label.to_string(),
-            users.to_string(),
-            format!("{:.1}", mean(portions)),
-        ]);
-    }
-    make_report("Table 6: strided memory access census", header, rows)
+    Table::new(
+        "Table 6: strided memory access census",
+        ["Instruction", "#Kernels", "Avg. portion(%)"],
+        rows,
+    )
 }
 
 // =====================================================================
@@ -723,59 +734,56 @@ pub fn tab6(suite: &SuiteResults) -> Report {
 
 /// Table 7: GPU/DSP kernel-launch overhead vs Neon kernel execution
 /// times for the nine non-offloaded libraries.
-pub fn tab7(suite: &SuiteResults) -> Report {
+pub fn tab7(suite: &SuiteResults) -> Table {
     let gpu = GpuModel::default();
     let dsp = DspModel::default();
-    let nine: Vec<&KernelResults> = suite
-        .kernels
-        .iter()
-        .filter(|k| !k.meta.excluded_from_eval && !k.meta.library.info().gpu_offloaded)
-        .collect();
     // One suite invocation at the reduced simulation scale is a good
     // proxy for the paper's fine-grain per-API-call execution times
     // (the paper's APIs process one row/frame/buffer per call).
-    let times: Vec<f64> = nine.iter().map(|k| k.neon.seconds()).collect();
+    let times: Vec<f64> = suite
+        .kernels
+        .iter()
+        .filter(|k| !k.meta.excluded_from_eval && !k.meta.library.info().gpu_offloaded)
+        .map(|k| k.neon.seconds())
+        .collect();
     let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = times.iter().cloned().fold(0.0, f64::max);
     let avg = mean(times.iter().cloned());
-    let header: Vec<String> = ["Quantity", "Time (us)"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let rows = vec![
-        vec![
-            "Adreno 640 GPU kernel launch".into(),
-            format!("{:.0}", gpu.launch_overhead_s * 1e6),
-        ],
-        vec![
-            "Hexagon 690 DSP kernel launch".into(),
-            format!("{:.0}", dsp.launch_overhead_s * 1e6),
-        ],
-        vec![
-            "Neon kernel execution (min)".into(),
-            format!("{:.1}", min * 1e6),
-        ],
-        vec![
-            "Neon kernel execution (avg)".into(),
-            format!("{:.1}", avg * 1e6),
-        ],
-        vec![
-            "Neon kernel execution (max)".into(),
-            format!("{:.1}", max * 1e6),
-        ],
-        vec![
-            "GPU launch / avg Neon".into(),
-            format!("{:.1}x", gpu.launch_overhead_s / avg.max(1e-12)),
-        ],
-        vec![
-            "DSP launch / avg Neon".into(),
-            format!("{:.0}%", 100.0 * dsp.launch_overhead_s / avg.max(1e-12)),
-        ],
+    let rows = [
+        (
+            "Adreno 640 GPU kernel launch",
+            Cell::num(gpu.launch_overhead_s * 1e6, 0),
+        ),
+        (
+            "Hexagon 690 DSP kernel launch",
+            Cell::num(dsp.launch_overhead_s * 1e6, 0),
+        ),
+        ("Neon kernel execution (min)", Cell::num(min * 1e6, 1)),
+        ("Neon kernel execution (avg)", Cell::num(avg * 1e6, 1)),
+        ("Neon kernel execution (max)", Cell::num(max * 1e6, 1)),
+        (
+            "GPU launch / avg Neon",
+            Cell::Num {
+                value: gpu.launch_overhead_s / avg.max(1e-12),
+                decimals: 1,
+                suffix: "x",
+            },
+        ),
+        (
+            "DSP launch / avg Neon",
+            Cell::Num {
+                value: 100.0 * dsp.launch_overhead_s / avg.max(1e-12),
+                decimals: 0,
+                suffix: "%",
+            },
+        ),
     ];
-    make_report(
+    Table::new(
         "Table 7: accelerator launch overhead vs Neon execution time",
-        header,
-        rows,
+        ["Quantity", "Time (us)"],
+        rows.into_iter()
+            .map(|(label, cell)| vec![label.into(), cell])
+            .collect(),
     )
 }
 
@@ -802,7 +810,7 @@ pub fn fig6(
     gemm: impl Fn(usize, usize, usize) -> Box<dyn Kernel> + Sync,
     spmm: impl Fn(usize, usize, usize) -> Box<dyn Kernel> + Sync,
     progress: impl Fn(&str) + Sync,
-) -> (Vec<Fig6Point>, Vec<Fig6Point>, Report) {
+) -> (Vec<Fig6Point>, Vec<Fig6Point>, Table) {
     fig6_threads(1, layers, points, gemm, spmm, progress)
         .unwrap_or_else(|f| panic!("{}", failure_summary("figure 6 points", &f)))
 }
@@ -816,7 +824,7 @@ pub fn fig6(
 /// measured on up to `threads` workers of the campaign pool, dispatched
 /// longest first — by `m·k·n`, GEMM before SpMM on the same shape — so
 /// the largest layer starts at once instead of ending the sweep alone.
-/// Results land back in sweep order: the points and the report are
+/// Results land back in sweep order: the points and the table are
 /// identical for every thread count. A point whose measurement panics
 /// becomes one [`KernelFailure`] naming its kernel and shape, and the
 /// sweep returns every such failure instead of a figure.
@@ -827,7 +835,7 @@ pub fn fig6_threads(
     gemm: impl Fn(usize, usize, usize) -> Box<dyn Kernel> + Sync,
     spmm: impl Fn(usize, usize, usize) -> Box<dyn Kernel> + Sync,
     progress: impl Fn(&str) + Sync,
-) -> Result<(Vec<Fig6Point>, Vec<Fig6Point>, Report), Vec<KernelFailure>> {
+) -> Result<(Vec<Fig6Point>, Vec<Fig6Point>, Table), Vec<KernelFailure>> {
     let gpu = GpuModel::default();
     let prime = CoreConfig::prime();
     let step = (layers.len() / points).max(1);
@@ -899,38 +907,34 @@ pub fn fig6_threads(
     if !failures.is_empty() {
         return Err(failures);
     }
-    let header: Vec<String> = ["Kind", "MACs", "Neon (ms)", "GPU (ms)", "Winner"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
     let mut rows = Vec::new();
     for (kind, pts) in [("GEMM", &gemm_pts), ("SpMM", &spmm_pts)] {
         for p in pts.iter() {
             rows.push(vec![
-                kind.to_string(),
-                p.macs.to_string(),
-                format!("{:.3}", p.neon_s * 1e3),
-                format!("{:.3}", p.gpu_s * 1e3),
-                if p.neon_s <= p.gpu_s { "Neon" } else { "GPU" }.to_string(),
+                kind.into(),
+                Cell::Int(p.macs),
+                Cell::num(p.neon_s * 1e3, 3),
+                Cell::num(p.gpu_s * 1e3, 3),
+                if p.neon_s <= p.gpu_s { "Neon" } else { "GPU" }.into(),
             ]);
         }
         // Report the crossover, if any.
         if let Some(x) = pts.iter().find(|p| p.gpu_s < p.neon_s) {
             rows.push(vec![
-                format!("{kind} crossover"),
-                format!("~{:.1}M MACs", x.macs as f64 / 1e6),
-                String::new(),
-                String::new(),
-                String::new(),
+                format!("{kind} crossover").into(),
+                format!("~{:.1}M MACs", x.macs as f64 / 1e6).into(),
+                "".into(),
+                "".into(),
+                "".into(),
             ]);
         }
     }
-    let report = make_report(
+    let table = Table::new(
         "Figure 6: Neon vs GPU across operation counts",
-        header,
+        ["Kind", "MACs", "Neon (ms)", "GPU (ms)", "Winner"],
         rows,
     );
-    Ok((gemm_pts, spmm_pts, report))
+    Ok((gemm_pts, spmm_pts, table))
 }
 
 // =====================================================================
@@ -938,7 +942,7 @@ pub fn fig6_threads(
 // =====================================================================
 
 /// §6 summary: kernels per computation pattern.
-pub fn patterns(kernels: &[Box<dyn Kernel>]) -> Report {
+pub fn patterns(kernels: &[Box<dyn Kernel>]) -> Table {
     let pats: [(Pattern, &str); 6] = [
         (Pattern::Reduction, "Reduction (§6.1)"),
         (Pattern::SequentialReduction, "Sequential reduction (§6.1)"),
@@ -950,7 +954,6 @@ pub fn patterns(kernels: &[Box<dyn Kernel>]) -> Report {
         (Pattern::MatrixTransposition, "Matrix transposition (§6.4)"),
         (Pattern::VectorApi, "Portable vector APIs (§6.5)"),
     ];
-    let header = vec!["Pattern".to_string(), "#Kernels".to_string()];
     let rows = pats
         .iter()
         .map(|(p, label)| {
@@ -958,55 +961,44 @@ pub fn patterns(kernels: &[Box<dyn Kernel>]) -> Report {
                 .iter()
                 .filter(|k| k.meta().patterns.contains(p) && !k.meta().excluded_from_eval)
                 .count();
-            vec![label.to_string(), n.to_string()]
+            vec![(*label).into(), n.into()]
         })
         .collect();
-    make_report("Section 6: common computation patterns", header, rows)
+    Table::new(
+        "Section 6: common computation patterns",
+        ["Pattern", "#Kernels"],
+        rows,
+    )
 }
 
 /// Per-kernel detail dump (kernel-level companion to Figures 1-3).
-pub fn kernel_detail(suite: &SuiteResults) -> Report {
-    let header: Vec<String> = [
-        "Kernel",
-        "VRE",
-        "Neon perf(x)",
-        "Auto perf(x)",
-        "InstrRed(x)",
-        "Neon IPC",
-        "Neon power(W)",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    let mut rows = Vec::new();
-    for k in &suite.kernels {
-        rows.push(vec![
-            k.meta.id(),
-            k.meta.vre(Width::W128).to_string(),
-            format!("{:.2}", k.scalar.seconds() / k.neon.seconds().max(1e-12)),
-            format!("{:.2}", k.scalar.seconds() / k.auto.seconds().max(1e-12)),
-            format!(
-                "{:.2}",
-                k.scalar.trace.total() as f64 / k.neon.trace.total().max(1) as f64
-            ),
-            format!("{:.2}", k.neon.sim.ipc()),
-            format!("{:.2}", k.neon.power_w),
-        ]);
-    }
-    make_report("Per-kernel detail", header, rows)
-}
-
-/// Group kernels per library for quick summaries in examples/tests.
-pub fn library_speedups(suite: &SuiteResults) -> BTreeMap<Library, f64> {
-    Library::ALL
+pub fn kernel_detail(suite: &SuiteResults) -> Table {
+    let rows = suite
+        .kernels
         .iter()
-        .map(|&lib| {
-            let ks = suite.by_library(lib);
-            let s = geomean(
-                ks.iter()
-                    .map(|k| k.scalar.seconds() / k.neon.seconds().max(1e-12)),
-            );
-            (lib, s)
+        .map(|k| {
+            vec![
+                k.meta.id().into(),
+                Cell::Int(k.meta.vre(Width::W128).into()),
+                Cell::num(k.speedup(NEON), 2),
+                Cell::num(k.speedup(AUTO), 2),
+                Cell::num(k.instr_reduction(), 2),
+                Cell::num(k.neon.sim.ipc(), 2),
+                Cell::num(k.neon.power_w, 2),
+            ]
         })
-        .collect()
+        .collect();
+    Table::new(
+        "Per-kernel detail",
+        [
+            "Kernel",
+            "VRE",
+            "Neon perf(x)",
+            "Auto perf(x)",
+            "InstrRed(x)",
+            "Neon IPC",
+            "Neon power(W)",
+        ],
+        rows,
+    )
 }

@@ -7,9 +7,8 @@
 //! cargo run --release --example campaign [threads]
 //! ```
 
-use std::collections::BTreeMap;
 use swan::prelude::*;
-use swan_core::report::library_speedups;
+use swan_core::report::{fig2, Cell};
 
 fn main() {
     let threads: usize = std::env::args()
@@ -38,11 +37,20 @@ fn main() {
     let suite = aggregate(&kernels, &scenarios, &run.measurements, Scale::test());
     println!("campaign finished in {:.1}s\n", t0.elapsed().as_secs_f32());
 
-    let speedups: BTreeMap<Library, f64> = library_speedups(&suite);
+    let fig2 = fig2(&suite);
+    let speedups: Vec<(String, f64)> = fig2
+        .rows
+        .iter()
+        .map(|row| {
+            let lib = row[0].to_string();
+            let s = fig2.get(&lib, "Neon perf(x)").and_then(Cell::value);
+            (lib, s.expect("Figure 2 has a Neon perf(x) column"))
+        })
+        .collect();
     println!("{:<6} {:>14}", "lib", "Neon perf(x)");
     for (lib, s) in &speedups {
-        println!("{:<6} {:>14.2}", lib.to_string(), s);
+        println!("{lib:<6} {s:>14.2}");
     }
-    let geomean = speedups.values().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64;
+    let geomean = speedups.iter().map(|(_, s)| s.ln()).sum::<f64>() / speedups.len() as f64;
     println!("\nsuite geomean speedup: {:.2}x", geomean.exp());
 }

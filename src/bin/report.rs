@@ -6,7 +6,7 @@
 //! ```text
 //! swan-report [--quick | --scale F] [--seed N] [--threads N]
 //!             [--trace-store DIR] [--trace-store-stats]
-//!             [--checkpoint DIR [--resume]]
+//!             [--checkpoint DIR]
 //!             [--profile [--profile-json PATH] [--profile-folded PATH]]
 //!             <what>...
 //! swan-report [...] --list-scenarios [--only FILTER]...
@@ -86,12 +86,11 @@
 //! the moment the group completes, and groups the journal already
 //! holds are loaded instead of re-simulated. A killed campaign
 //! restarted with the same flags therefore resumes where it died, with
-//! byte-identical output. `--resume` is the explicit coordinator form
-//! (it additionally *requires* the journal, finishes any stragglers,
-//! and aggregates); `--worker I/OF` runs only the `I`-th of `OF`
+//! byte-identical output. `--worker I/OF` runs only the `I`-th of `OF`
 //! disjoint group shards into the shared journal and exits without
 //! reports — launch `OF` worker processes against one `--checkpoint`
-//! directory, then aggregate with `--resume`. Both print one greppable
+//! directory, then run once more with `--checkpoint DIR` alone to
+//! finish any stragglers and aggregate. Both print one greppable
 //! `checkpoint:` summary line. Golden modes ignore the journal (they
 //! pin trace digests the journal does not persist; see CONTRIBUTING,
 //! "The checkpoint journal").
@@ -109,7 +108,7 @@ fn auto_threads() -> usize {
 
 const USAGE: &str = "usage: swan-report [--quick | --scale F] [--seed N] [--threads N]\n\
                      \x20                  [--trace-store DIR [--trace-store-stats]]\n\
-                     \x20                  [--checkpoint DIR [--resume | --worker I/OF]]\n\
+                     \x20                  [--checkpoint DIR [--worker I/OF]]\n\
                      \x20                  [--profile [--profile-json PATH] [--profile-folded PATH]]\n\
                      \x20                  [--only FILTER]... [--list-scenarios]\n\
                      \x20                  [--write-golden PATH | --golden PATH]\n\
@@ -160,7 +159,6 @@ fn main() {
     let mut store_dir: Option<String> = None;
     let mut store_stats = false;
     let mut checkpoint_dir: Option<String> = None;
-    let mut resume = false;
     let mut worker: Option<(usize, usize)> = None;
     let mut profile = false;
     let mut profile_json: Option<String> = None;
@@ -196,7 +194,6 @@ fn main() {
             "--checkpoint" => {
                 checkpoint_dir = Some(value_of("--checkpoint", &mut args));
             }
-            "--resume" => resume = true,
             "--profile" => profile = true,
             "--profile-json" => {
                 profile_json = Some(value_of("--profile-json", &mut args));
@@ -251,14 +248,8 @@ fn main() {
     // Flag-dependency audit: every modifier that is meaningless
     // without its prerequisite is an up-front error (exit 2), not a
     // mid-run surprise or a silently ignored request.
-    if resume && checkpoint_dir.is_none() {
-        die("--resume requires --checkpoint DIR");
-    }
     if worker.is_some() && checkpoint_dir.is_none() {
         die("--worker requires --checkpoint DIR");
-    }
-    if resume && worker.is_some() {
-        die("--resume is the coordinator; a --worker shard cannot also resume-all");
     }
     if store_stats && store_dir.is_none() {
         die("--trace-store-stats requires --trace-store DIR");
@@ -362,7 +353,8 @@ fn main() {
     if let Some((wi, wof)) = worker {
         // Worker mode: simulate one disjoint shard of the remaining
         // scenario groups into the shared journal, then exit — the
-        // coordinator (`--resume`) aggregates once every shard is in.
+        // coordinator (`--checkpoint DIR` alone) aggregates once every
+        // shard is in.
         if golden_write.is_some()
             || golden_check.is_some()
             || list_scenarios
@@ -434,7 +426,7 @@ fn main() {
         // Golden baselines and probes must observe a full functional
         // execution; resuming from a journal would let a stale entry
         // masquerade as a fresh measurement.
-        eprintln!("warning: this mode re-simulates unconditionally; --checkpoint/--resume ignored");
+        eprintln!("warning: this mode re-simulates unconditionally; --checkpoint ignored");
     }
 
     if perf {

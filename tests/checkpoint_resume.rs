@@ -145,7 +145,7 @@ fn sigkilled_campaign_resumes_to_byte_identical_output() {
     assert!(killed > 0, "fault injection must land at least one SIGKILL");
     assert!(journal_entries(&dir) > 0, "killed runs must leave progress");
 
-    let resumed = run_campaign(&["--checkpoint", &dir_s, "--resume"]);
+    let resumed = run_campaign(&["--checkpoint", &dir_s]);
     assert_eq!(
         reference.stdout, resumed.stdout,
         "resumed campaign output must be byte-identical to uninterrupted"
@@ -158,7 +158,7 @@ fn sigkilled_campaign_resumes_to_byte_identical_output() {
 
     // A second resume against the now-complete journal re-simulates
     // nothing (resumed == groups, executed == 0) and still matches.
-    let again = run_campaign(&["--checkpoint", &dir_s, "--resume"]);
+    let again = run_campaign(&["--checkpoint", &dir_s]);
     assert_eq!(reference.stdout, again.stdout);
     let stderr = String::from_utf8_lossy(&again.stderr);
     assert!(

@@ -50,7 +50,7 @@ fn resume_without_checkpoint_is_rejected() {
     assert_rejected(
         REPORT,
         &["--resume", "--list-scenarios"],
-        "--resume requires --checkpoint",
+        "unrecognized flag `--resume`",
     );
 }
 

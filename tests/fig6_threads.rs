@@ -5,7 +5,7 @@
 //! whose measurement panics becomes one named failure instead of
 //! killing the sweep.
 
-use swan_core::report::{self, Fig6Point, Report};
+use swan_core::report::{self, Fig6Point, Table};
 use swan_core::{Impl, Kernel, KernelFailure, KernelMeta, Runnable, Scale};
 use swan_kernels::xp::{conv_layers, GemmF32, Shape, SpmmF32};
 use swan_simd::Width;
@@ -31,7 +31,7 @@ fn spmm(m: usize, k: usize, n: usize) -> Box<dyn Kernel> {
     Box::new(SpmmF32::with_shape(Shape { m, k, n }))
 }
 
-type Sweep = (Vec<Fig6Point>, Vec<Fig6Point>, Report);
+type Sweep = (Vec<Fig6Point>, Vec<Fig6Point>, Table);
 
 fn sweep_on(threads: usize) -> Sweep {
     report::fig6_threads(threads, &small_layers(), POINTS, gemm, spmm, |_| {})

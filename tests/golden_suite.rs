@@ -21,6 +21,30 @@ fn baseline_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/suite.json")
 }
 
+/// The tables that need no simulation — Table 2, Table 3 and the §6
+/// pattern census — print exactly the committed bytes. This pins the
+/// table renderer itself: right alignment, the two-space separators,
+/// the dashed rule, Table 3's text cells, and column widths counted in
+/// bytes (each `§` is two bytes, so the pattern column is one space
+/// wider than its longest label).
+#[test]
+fn static_tables_match_committed_text() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_swan-report"))
+        .args(["--quick", "tab2", "tab3", "patterns"])
+        .output()
+        .expect("spawn swan-report");
+    assert!(out.status.success(), "swan-report failed: {out:?}");
+    let want = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/static_tables.txt"),
+    )
+    .expect("read tests/golden/static_tables.txt");
+    let got = String::from_utf8(out.stdout).expect("utf-8 report");
+    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "line {} differs", i + 1);
+    }
+    assert_eq!(got, want, "static tables differ");
+}
+
 /// The full scenario campaign, run twice in-process — once against a
 /// *cold* persistent trace store (every group recorded to disk) and
 /// once against the now-*warm* store (every group replayed from disk,

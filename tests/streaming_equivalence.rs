@@ -83,14 +83,15 @@ fn fanout_measurements_are_consistent_with_single_measures() {
         CoreConfig::gold(),
         CoreConfig::silver(),
     ];
-    let multi = fan_out(
+    let mut rec = swan_core::record_group(
         kernel.as_ref(),
         Impl::Neon,
-        &cfgs,
+        Width::W128,
         Scale::test(),
         SEED,
         None,
     );
+    let multi = swan_core::measure_recorded(&mut rec, &cfgs, 1.0);
     assert_eq!(multi.len(), 3);
     // Prime and Gold share the microarchitecture: identical cycles,
     // different wall-clock (frequency) — exactly as in the batch flow.
@@ -115,20 +116,6 @@ fn fanout_measurements_are_consistent_with_single_measures() {
         single, multi[0],
         "one core of a fan-out equals a single measure"
     );
-}
-
-/// Record one W128 group (through `store` when given) and replay it
-/// into `cfgs` — the executor's per-group body.
-fn fan_out(
-    kernel: &dyn Kernel,
-    imp: Impl,
-    cfgs: &[CoreConfig],
-    scale: Scale,
-    seed: u64,
-    store: Option<&swan_core::TraceStore>,
-) -> Vec<swan_core::Measurement> {
-    let mut rec = swan_core::record_group(kernel, imp, Width::W128, scale, seed, store);
-    swan_core::measure_recorded(&mut rec, cfgs, 1.0)
 }
 
 /// A scenario's measurement depends only on the scenario itself, not
@@ -410,7 +397,6 @@ fn multi_process_worker_shards_resume_to_serial_campaign() {
         .args(["--scale", &scale_arg, "--seed", "7"])
         .args(["--only", "lib=ZL", "--threads", "1"])
         .args(["--checkpoint", ckpt.to_str().expect("utf8")])
-        .args(["--resume"])
         .output()
         .expect("spawn coordinator");
     assert!(coord.status.success());
@@ -466,91 +452,4 @@ fn recorded_stream_is_far_smaller_than_materialized_trace() {
     let after = swan_simd::trace::codec::recorded_totals();
     assert!(after.bytes >= before.bytes + enc.encoded_bytes() as u64);
     assert!(after.instrs >= before.instrs + enc.instr_count());
-}
-
-/// Store memory bound: recording a scenario group *through a trace
-/// store* spills the encoding chunk by chunk, so the resident
-/// recording state is O(chunk budget) — not O(stream) like the
-/// in-memory path — and a warm-store replay performs no functional
-/// execution while measuring bit-identically. This is the satellite
-/// assertion behind the PR 4 "footprint to watch" note: at full paper
-/// scale, per-worker replay buffers no longer grow with the stream.
-#[test]
-fn store_backed_recording_is_chunk_resident_and_bit_identical() {
-    const BUDGET: usize = 4096;
-    // One encoded record is at most a few dozen bytes; the chunk
-    // buffer may overshoot the budget by at most one record.
-    const RECORD_SLACK: u64 = 128;
-
-    let kernels = swan::suite();
-    let kernel = kernels
-        .iter()
-        .find(|k| k.meta().id() == "ZL.adler32")
-        .expect("ZL.adler32");
-    let dir = std::env::temp_dir().join(format!("swan-residency-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = swan_core::TraceStore::open(&dir, &kernels)
-        .expect("open trace store")
-        .chunk_budget(BUDGET);
-    let cfgs = [
-        CoreConfig::prime(),
-        CoreConfig::gold(),
-        CoreConfig::silver(),
-    ];
-
-    // No other test in this binary spills through the codec, so the
-    // process-wide spill counters isolate this store's recorders.
-    let before = swan_simd::trace::codec::recorded_totals();
-    let cold = fan_out(
-        kernel.as_ref(),
-        Impl::Scalar,
-        &cfgs,
-        Scale::quick(),
-        42,
-        Some(&store),
-    );
-    let after = swan_simd::trace::codec::recorded_totals();
-    let spilled = after.spilled_bytes - before.spilled_bytes;
-    assert!(
-        spilled > 10 * BUDGET as u64,
-        "the group's stream ({spilled} encoded bytes) must span many chunks"
-    );
-    assert!(
-        after.resident_peak <= BUDGET as u64 + RECORD_SLACK,
-        "resident recording state must be O(chunk budget): peak {} vs budget {BUDGET}",
-        after.resident_peak
-    );
-    assert!(
-        after.resident_peak * 8 < spilled,
-        "O(chunk) residency, not O(stream): peak {} vs {spilled} spilled",
-        after.resident_peak
-    );
-
-    // Warm-store replay: zero functional executions (all hits), same
-    // bits as the storeless in-memory flow.
-    let warm = fan_out(
-        kernel.as_ref(),
-        Impl::Scalar,
-        &cfgs,
-        Scale::quick(),
-        42,
-        Some(&store),
-    );
-    let stats = store.stats();
-    assert_eq!((stats.hits, stats.misses), (1, 1));
-    let memory = fan_out(
-        kernel.as_ref(),
-        Impl::Scalar,
-        &cfgs,
-        Scale::quick(),
-        42,
-        None,
-    );
-    for ((c, w), m) in cold.iter().zip(&warm).zip(&memory) {
-        assert_eq!(c.sim, w.sim, "cold == warm");
-        assert_eq!(w.sim, m.sim, "store == memory");
-        assert_eq!(c.trace.by_op, m.trace.by_op);
-        assert_eq!(c.work_ops, m.work_ops);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
